@@ -43,6 +43,7 @@ use flightnn::net::{NetLayer, QuantNet};
 use crate::counts::OpCounts;
 use crate::exec::{forward_parallel, Scratch};
 use crate::fixed::{fixed_point_conv_core, FixedWeights};
+use crate::observe::{Null, Profile, StageObserver, Trace};
 use crate::qact::QuantActivations;
 use crate::shift::{shift_add_conv_core, ShiftKernel};
 use crate::simd::{active_path, KernelPath};
@@ -226,19 +227,9 @@ impl CompileOptions {
         self
     }
 
-    /// Whether the scalar kernel path is pinned.
-    pub fn forces_scalar(&self) -> bool {
-        self.force_scalar
-    }
-
     /// Whether batch-norm folding is enabled.
     pub fn folds_batch_norm(&self) -> bool {
         self.fold_batch_norm
-    }
-
-    /// The configured execution policy.
-    pub fn execution_policy(&self) -> ExecutionPolicy {
-        self.policy
     }
 }
 
@@ -299,16 +290,6 @@ impl ExecCtx {
         }
     }
 
-    /// Replaces the telemetry handle, keeping the warmed-up scratch.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
-    /// The telemetry handle forwards through this context emit to.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
     /// The kernel dispatch path forwards through this context request
     /// (defaults to the process-wide detected path; individual conv
     /// calls may still fall back to scalar for small batches or
@@ -321,15 +302,6 @@ impl ExecCtx {
     /// (the engine sets this from [`CompileOptions::force_scalar`]).
     pub fn set_kernel_path(&mut self, path: KernelPath) {
         self.scratch.lanes.set_path(path);
-    }
-}
-
-/// Emits the engaged kernel dispatch path as a
-/// `kernel.dispatch.<path>` gauge, so traces record which interior
-/// implementation produced them (skipped on the null sink).
-fn emit_dispatch(telemetry: &Telemetry, path: KernelPath) {
-    if telemetry.enabled() {
-        telemetry.gauge(&format!("kernel.dispatch.{}", path.name()), 1.0, "path");
     }
 }
 
@@ -362,19 +334,23 @@ impl CompiledNet {
     /// plus per-stage op counters; with the null sink this is the
     /// uninstrumented hot loop.
     pub fn forward(&self, input: &Tensor, ctx: &mut ExecCtx) -> (Tensor, OpCounts) {
-        if ctx.telemetry.enabled() {
-            self.forward_traced(input, ctx)
-        } else {
-            let mut counts = OpCounts::default();
-            let out = run_layers(
-                &self.layers,
-                &ctx.telemetry,
+        let mut counts = OpCounts::default();
+        let path = ctx.kernel_path();
+        let (layers, scratch, telemetry) = (&self.layers, &mut ctx.scratch, &ctx.telemetry);
+        let out = if telemetry.enabled() {
+            let _forward = Trace::forward_span(telemetry, 1, path);
+            walk(
+                layers,
                 input,
                 &mut counts,
-                &mut ctx.scratch,
-            );
-            (out, counts)
-        }
+                scratch,
+                &mut Trace(telemetry),
+                true,
+            )
+        } else {
+            walk(layers, input, &mut counts, scratch, &mut Null, true)
+        };
+        (out, counts)
     }
 
     /// Runs the pipeline under `policy`: batches that engage more than
@@ -391,19 +367,14 @@ impl CompiledNet {
         let batch = input.dims().first().copied().unwrap_or(0);
         let workers = policy.worker_count(batch);
         if workers > 1 {
-            let span = ctx.telemetry.span("kernel.forward");
-            ctx.telemetry
-                .gauge("kernel.forward.workers", workers as f64, "worker");
-            emit_dispatch(&ctx.telemetry, ctx.kernel_path());
-            let result = forward_parallel(
+            let _forward = Trace::forward_span(&ctx.telemetry, workers, ctx.kernel_path());
+            forward_parallel(
                 &self.layers,
                 &ctx.telemetry,
                 input,
                 workers,
                 ctx.kernel_path(),
-            );
-            drop(span);
-            result
+            )
         } else {
             self.forward(input, ctx)
         }
@@ -414,9 +385,9 @@ impl CompiledNet {
     /// [`StageProf`](flight_telemetry::StageProf) hook the serving
     /// profiler uses for 1-in-N sampled requests.
     ///
-    /// Unlike [`forward_traced`](Self::forward), this path emits no
-    /// spans, no counters, and allocates nothing: each stage costs one
-    /// `Instant::now()` pair and three array stores into the
+    /// Unlike a traced [`forward`](Self::forward), this path emits no
+    /// stage spans or stage counters and allocates nothing: each stage
+    /// costs one `Instant::now()` pair and three array stores into the
     /// caller-owned scratch. Profiled forwards always take the
     /// sequential stage walk (per-stage attribution requires it); the
     /// logits are bit-identical to every other path because activations
@@ -431,57 +402,16 @@ impl CompiledNet {
         sample.set_path(ctx.kernel_path().name());
         sample.set_images(input.dims().first().copied().unwrap_or(0) as u64);
         let mut counts = OpCounts::default();
-        let mut owned: Option<Tensor> = None;
-        for layer in &self.layers {
-            let before = counts;
-            let start = std::time::Instant::now();
-            let x = owned.as_ref().unwrap_or(input);
-            owned = Some(run_layer(
-                layer,
-                &ctx.telemetry,
-                x,
-                &mut counts,
-                &mut ctx.scratch,
-            ));
-            sample.record_stage(
-                stage_kind(layer),
-                start.elapsed().as_nanos() as u64,
-                counts.delta(before).total(),
-            );
-        }
-        (owned.unwrap_or_else(|| input.clone()), counts)
-    }
-
-    /// Sequential execution with per-stage spans and counters.
-    fn forward_traced(&self, input: &Tensor, ctx: &mut ExecCtx) -> (Tensor, OpCounts) {
-        let forward_span = ctx.telemetry.span("kernel.forward");
-        ctx.telemetry.gauge("kernel.forward.workers", 1.0, "worker");
-        emit_dispatch(&ctx.telemetry, ctx.kernel_path());
-        let mut counts = OpCounts::default();
-        // Borrow the input for the first stage instead of cloning it;
-        // every later stage consumes the previous stage's output.
-        let mut owned: Option<Tensor> = None;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let before = counts;
-            let name = format!("kernel.stage.{i:02}.{}", stage_kind(layer));
-            let stage_span = ctx.telemetry.span(&name);
-            let x = owned.as_ref().unwrap_or(input);
-            owned = Some(run_layer(
-                layer,
-                &ctx.telemetry,
-                x,
-                &mut counts,
-                &mut ctx.scratch,
-            ));
-            drop(stage_span);
-            for (field, n) in counts.delta(before).fields() {
-                if n > 0 {
-                    ctx.telemetry.counter(&format!("{name}.{field}"), n, "op");
-                }
-            }
-        }
-        drop(forward_span);
-        (owned.unwrap_or_else(|| input.clone()), counts)
+        let mut profile = Profile(sample, Trace(&ctx.telemetry));
+        let out = walk(
+            &self.layers,
+            input,
+            &mut counts,
+            &mut ctx.scratch,
+            &mut profile,
+            true,
+        );
+        (out, counts)
     }
 }
 
@@ -560,26 +490,11 @@ impl IntNetwork {
         self
     }
 
-    /// Replaces the telemetry handle in place.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
     /// Replaces the execution policy, keeping the compiled stages — the
     /// cheap way to compare sequential and parallel runs of one network.
     pub fn with_policy(mut self, policy: ExecutionPolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// Replaces the execution policy in place.
-    pub fn set_policy(&mut self, policy: ExecutionPolicy) {
-        self.policy = policy;
-    }
-
-    /// The active execution policy.
-    pub fn policy(&self) -> ExecutionPolicy {
-        self.policy
     }
 
     /// Number of pipeline stages (after folding, if any).
@@ -826,90 +741,47 @@ fn fold_affines(layers: &mut [IntLayer]) {
     }
 }
 
-/// Runs the full stage list sequentially. The input is borrowed for the
-/// first stage (no upfront clone); `scratch` holds the reusable
-/// activation-quantization buffers.
-pub(crate) fn run_layers(
+/// The one stage walk: runs `layers` in order over `input`, borrowed
+/// for the first stage (no upfront clone), accumulating op counts and
+/// quantizing activations through `scratch`. With `attribute`, every
+/// stage is bracketed by the observer's stage hooks; residual branches
+/// and per-image chunk walks pass `false`, so only a network's own
+/// top-level stages are attributed. The walk itself times nothing.
+pub(crate) fn walk<O: StageObserver>(
     layers: &[IntLayer],
-    telemetry: &Telemetry,
     input: &Tensor,
     counts: &mut OpCounts,
     scratch: &mut Scratch,
+    obs: &mut O,
+    attribute: bool,
 ) -> Tensor {
     let mut owned: Option<Tensor> = None;
-    for layer in layers {
+    for (i, layer) in layers.iter().enumerate() {
+        let stage = attribute.then(|| obs.stage_begin(i, stage_kind(layer), counts));
         let x = owned.as_ref().unwrap_or(input);
-        owned = Some(run_layer(layer, telemetry, x, counts, scratch));
+        owned = Some(run_layer(layer, x, counts, scratch, obs));
+        if let Some(stage) = stage {
+            obs.stage_end(stage, counts);
+        }
     }
     owned.unwrap_or_else(|| input.clone())
 }
 
-/// Emits the `kernel.lowering` span and gauges describing how an integer
-/// conv stage decomposes `geom` — interior/border position split and
-/// taps per filter — attributed per worker through the caller's
-/// [`PrefixSink`](flight_telemetry::Telemetry::with_prefix)ed handle.
-/// Returns the span guard bracketing the kernel run (`None` on the null
-/// sink, which keeps the hot path free of telemetry work).
-fn lowering_span(
-    telemetry: &Telemetry,
-    stats: crate::shift::LoweringStats,
-) -> Option<flight_telemetry::Span> {
-    if !telemetry.enabled() {
-        return None;
-    }
-    telemetry.gauge(
-        "kernel.lowering.interior_positions",
-        stats.interior_positions as f64,
-        "pos",
-    );
-    telemetry.gauge(
-        "kernel.lowering.border_positions",
-        stats.border_positions as f64,
-        "pos",
-    );
-    telemetry.gauge(
-        "kernel.lowering.taps_per_filter",
-        stats.mean_taps_per_filter(),
-        "tap",
-    );
-    Some(telemetry.span("kernel.lowering"))
-}
-
-/// Reports how many just-quantized activation codes sit at the
-/// representable rail, as `kernel.qact.<stage>.saturated` /
-/// `.quantized` counters. The post-pass over the codes only runs with a
-/// live sink, so the null-sink hot path never pays for it.
-fn emit_saturation(telemetry: &Telemetry, stage: &'static str, codes: &[i32], bits: u32) {
-    if !telemetry.enabled() || codes.is_empty() {
-        return;
-    }
-    telemetry.counter(
-        &format!("kernel.qact.{stage}.saturated"),
-        QuantActivations::saturation_count(codes, bits),
-        "op",
-    );
-    telemetry.counter(
-        &format!("kernel.qact.{stage}.quantized"),
-        codes.len() as u64,
-        "op",
-    );
-}
-
 /// One integer conv over `x` with whichever datapath the layer compiled
 /// to, quantizing activations per image through the scratch buffers.
-/// `stage` labels the quantization site (`"conv"` / `"linear"`) in the
-/// saturation counters.
+/// `site` labels the quantization site (`"conv"` / `"linear"`) for the
+/// observer.
 #[allow(clippy::too_many_arguments)]
-fn conv_stage(
+fn conv_stage<O: StageObserver>(
     weights: &IntWeights,
-    telemetry: &Telemetry,
-    stage: &'static str,
+    site: &'static str,
     act_bits: u32,
     x: &Tensor,
     stride: usize,
     padding: usize,
     counts: &mut OpCounts,
     scratch: &mut Scratch,
+    obs: &mut O,
 ) -> Tensor {
     let d = x.dims();
     assert_eq!(d.len(), 4, "conv input must be [n, c, h, w]");
@@ -921,20 +793,23 @@ fn conv_stage(
                 &mut scratch.codes,
                 &mut scratch.scales,
             );
-            emit_saturation(telemetry, stage, &scratch.codes, act_bits);
+            obs.quantized(site, &scratch.codes, act_bits);
             let geom = Conv2dGeometry::new(d[1], d[2], d[3], kernel.kernel_size(), stride, padding);
             let mut out = Tensor::zeros(&[d[0], kernel.filters(), geom.out_h, geom.out_w]);
-            let span = lowering_span(telemetry, kernel.lowering_stats(&geom));
-            shift_add_conv_core(
-                &scratch.codes,
-                &scratch.scales,
-                &geom,
-                kernel,
-                out.as_mut_slice(),
-                counts,
-                &mut scratch.lanes,
+            obs.lowered(
+                || kernel.lowering_stats(&geom),
+                || {
+                    shift_add_conv_core(
+                        &scratch.codes,
+                        &scratch.scales,
+                        &geom,
+                        kernel,
+                        out.as_mut_slice(),
+                        counts,
+                        &mut scratch.lanes,
+                    )
+                },
             );
-            drop(span);
             out
         }
         IntWeights::Fixed(fw) => {
@@ -944,20 +819,23 @@ fn conv_stage(
                 &mut scratch.codes,
                 &mut scratch.scales,
             );
-            emit_saturation(telemetry, stage, &scratch.codes, act_bits);
+            obs.quantized(site, &scratch.codes, act_bits);
             let geom = Conv2dGeometry::new(d[1], d[2], d[3], fw.dims()[2], stride, padding);
             let mut out = Tensor::zeros(&[d[0], fw.dims()[0], geom.out_h, geom.out_w]);
-            let span = lowering_span(telemetry, fw.lowering_stats(&geom));
-            fixed_point_conv_core(
-                &scratch.codes,
-                &scratch.scales,
-                &geom,
-                fw,
-                out.as_mut_slice(),
-                counts,
-                &mut scratch.lanes,
+            obs.lowered(
+                || fw.lowering_stats(&geom),
+                || {
+                    fixed_point_conv_core(
+                        &scratch.codes,
+                        &scratch.scales,
+                        &geom,
+                        fw,
+                        out.as_mut_slice(),
+                        counts,
+                        &mut scratch.lanes,
+                    )
+                },
             );
-            drop(span);
             out
         }
         IntWeights::Float(w) => {
@@ -979,12 +857,12 @@ fn conv_stage(
     }
 }
 
-pub(crate) fn run_layer(
+fn run_layer<O: StageObserver>(
     layer: &IntLayer,
-    telemetry: &Telemetry,
     x: &Tensor,
     counts: &mut OpCounts,
     scratch: &mut Scratch,
+    obs: &mut O,
 ) -> Tensor {
     match layer {
         IntLayer::Conv {
@@ -995,7 +873,7 @@ pub(crate) fn run_layer(
             act_bits,
         } => {
             let mut out = conv_stage(
-                weights, telemetry, "conv", *act_bits, x, *stride, *padding, counts, scratch,
+                weights, "conv", *act_bits, x, *stride, *padding, counts, scratch, obs,
             );
             add_channel_bias(&mut out, bias);
             out
@@ -1010,7 +888,7 @@ pub(crate) fn run_layer(
             let f = x.len() / n.max(1);
             let as_img = x.reshape(&[n, f, 1, 1]);
             let mut out = conv_stage(
-                weights, telemetry, "linear", *act_bits, &as_img, 1, 0, counts, scratch,
+                weights, "linear", *act_bits, &as_img, 1, 0, counts, scratch, obs,
             );
             add_channel_bias(&mut out, bias);
             let classes = out.len() / n.max(1);
@@ -1045,7 +923,7 @@ pub(crate) fn run_layer(
                 &mut scratch.codes,
                 &mut scratch.scales,
             );
-            emit_saturation(telemetry, "requant", &scratch.codes, 8);
+            obs.quantized("requant", &scratch.codes, 8);
             let n = x.dims()[0];
             let stride = x.len().checked_div(n).unwrap_or(0);
             let mut data = Vec::with_capacity(x.len());
@@ -1063,9 +941,9 @@ pub(crate) fn run_layer(
             shortcut,
             slope,
         } => {
-            let main_out = run_layers(main, telemetry, x, counts, scratch);
+            let main_out = walk(main, x, counts, scratch, obs, false);
             let short_out = match shortcut {
-                Some(sc) => run_layers(sc, telemetry, x, counts, scratch),
+                Some(sc) => walk(sc, x, counts, scratch, obs, false),
                 None => x.clone(),
             };
             let sum = &main_out + &short_out;

@@ -22,7 +22,8 @@ use flight_telemetry::{worker_prefix, Log2Histogram, Telemetry};
 use flight_tensor::Tensor;
 
 use crate::counts::OpCounts;
-use crate::engine::{run_layers, IntLayer};
+use crate::engine::{walk, IntLayer};
+use crate::observe::{Null, Trace};
 use crate::simd::{KernelPath, LaneCtx};
 
 /// Per-worker reusable buffers for activation quantization — integer
@@ -101,11 +102,12 @@ pub(crate) fn forward_parallel(
                 let span = worker_telemetry.span("chunk");
                 let mut counts = OpCounts::default();
                 let mut scratch = Scratch::with_path(path);
+                let chunk = &data[start * img_len..end * img_len];
                 let out = if worker_telemetry.enabled() {
                     let out = run_chunk_per_image(
                         layers,
                         &worker_telemetry,
-                        &data[start * img_len..end * img_len],
+                        chunk,
                         &chunk_dims,
                         dispatch,
                         queue_wait,
@@ -120,11 +122,8 @@ pub(crate) fn forward_parallel(
                     }
                     out
                 } else {
-                    let chunk = Tensor::from_vec(
-                        data[start * img_len..end * img_len].to_vec(),
-                        &chunk_dims,
-                    );
-                    run_layers(layers, &worker_telemetry, &chunk, &mut counts, &mut scratch)
+                    let chunk = Tensor::from_vec(chunk.to_vec(), &chunk_dims);
+                    walk(layers, &chunk, &mut counts, &mut scratch, &mut Null, true)
                 };
                 drop(span);
                 *slot = Some((out, counts));
@@ -136,13 +135,22 @@ pub(crate) fn forward_parallel(
     // Stitch chunk outputs back together in batch order and reduce the
     // counts. Merge order does not matter — OpCounts is associative —
     // but we keep chunk order for determinism anyway.
-    stitch(results, n)
+    let mut merged = OpCounts::default();
+    let mut outs = Vec::with_capacity(chunks);
+    for slot in results {
+        let (out, counts) = slot.expect("every spawned chunk reports a result");
+        merged += counts;
+        outs.push(out);
+    }
+    (concat(&outs), merged)
 }
 
-/// The traced chunk walk: one image at a time, recording per-image
-/// latency into the worker's histograms and emitting them once at the
-/// end. Stage outputs are stitched in image order, so the result equals
-/// the whole-chunk run bit for bit (per-image activation scales).
+/// The traced chunk walk: one image at a time through the stage walk
+/// with a [`Trace`] observer (in-stage events only — stage spans belong
+/// to the sequential path), recording per-image latency into the
+/// worker's histograms and emitting them once at the end. Stage outputs
+/// are stitched in image order, so the result equals the whole-chunk
+/// run bit for bit (per-image activation scales).
 #[allow(clippy::too_many_arguments)]
 fn run_chunk_per_image(
     layers: &[IntLayer],
@@ -162,52 +170,33 @@ fn run_chunk_per_image(
     let mut e2e = Log2Histogram::new();
     let mut compute = Log2Histogram::new();
     let mut queue = Log2Histogram::new();
+    let mut trace = Trace(worker_telemetry);
 
-    let mut out_dims: Vec<usize> = Vec::new();
-    let mut out_data: Vec<f32> = Vec::new();
+    let mut outs = Vec::with_capacity(images);
     for i in 0..images {
         let started = Instant::now();
         let image = Tensor::from_vec(
             chunk_data[i * img_len..(i + 1) * img_len].to_vec(),
             &img_dims,
         );
-        let out = run_layers(layers, worker_telemetry, &image, counts, scratch);
+        outs.push(walk(layers, &image, counts, scratch, &mut trace, false));
         compute.record(started.elapsed().as_secs_f64());
         e2e.record(dispatch.elapsed().as_secs_f64());
         queue.record(queue_wait);
-        if out_dims.is_empty() {
-            out_dims = out.dims().to_vec();
-            out_data.reserve(out.len() * images);
-        }
-        out_data.extend_from_slice(out.as_slice());
     }
     worker_telemetry.log2_histogram("chunk.latency.e2e", &e2e);
     worker_telemetry.log2_histogram("chunk.latency.compute", &compute);
     worker_telemetry.log2_histogram("chunk.latency.queue_wait", &queue);
-
-    if out_dims.is_empty() {
-        return Tensor::from_vec(Vec::new(), chunk_dims);
-    }
-    out_dims[0] = images;
-    Tensor::from_vec(out_data, &out_dims)
+    concat(&outs)
 }
 
-/// Concatenates per-chunk outputs in batch order and reduces the op
-/// counts.
-fn stitch(results: Vec<Option<(Tensor, OpCounts)>>, n: usize) -> (Tensor, OpCounts) {
-    let mut merged = OpCounts::default();
-    let mut out_dims: Vec<usize> = Vec::new();
-    let mut out_data: Vec<f32> = Vec::new();
-    for slot in results {
-        let (chunk_out, counts) = slot.expect("every spawned chunk reports a result");
-        if out_dims.is_empty() {
-            out_dims = chunk_out.dims().to_vec();
-            let chunk_n = out_dims[0].max(1);
-            out_data.reserve(chunk_out.len() / chunk_n * n);
-        }
-        merged += counts;
-        out_data.extend_from_slice(chunk_out.as_slice());
+/// Concatenates non-empty `[n_i, …]` outputs along the batch dimension.
+fn concat(parts: &[Tensor]) -> Tensor {
+    let mut dims = parts[0].dims().to_vec();
+    dims[0] = parts.iter().map(|p| p.dims()[0]).sum();
+    let mut data = Vec::with_capacity(parts.iter().map(Tensor::len).sum());
+    for part in parts {
+        data.extend_from_slice(part.as_slice());
     }
-    out_dims[0] = n;
-    (Tensor::from_vec(out_data, &out_dims), merged)
+    Tensor::from_vec(data, &dims)
 }

@@ -40,6 +40,7 @@ pub mod engine;
 mod exec;
 pub mod fixed;
 mod lower;
+mod observe;
 pub mod qact;
 pub mod shift;
 pub mod simd;

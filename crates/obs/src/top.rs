@@ -25,16 +25,17 @@
 //! is a shell-scriptable health check.
 //!
 //! The protocol client here is deliberately minimal (one frame write,
-//! one frame read, ~30 lines): flight-serve depends on this crate for
-//! its CLI plumbing, so `top` cannot use `flight_serve::ServeClient`
-//! without a dependency cycle. The wire format is stable and public —
-//! 4-byte little-endian length prefix, UTF-8 JSON payload.
+//! one frame read): flight-serve depends on this crate for its CLI
+//! plumbing, so `top` cannot use `flight_serve::ServeClient` without a
+//! dependency cycle. Both sides frame through the shared codec in
+//! [`flight_telemetry::frame`].
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
 use flight_telemetry::json::{JsonObject, JsonValue};
+use flight_telemetry::{read_frame, write_frame};
 
 use crate::tick::{run_ticks, sparkline, Series, TickOptions, TickStep};
 
@@ -130,23 +131,10 @@ pub(crate) fn round_trip(addr: &str, op: &str) -> Result<JsonValue, String> {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .map_err(|e| format!("socket: {e}"))?;
     let payload = JsonObject::new().field("op", op).build().render();
-    let bytes = payload.as_bytes();
-    stream
-        .write_all(&(bytes.len() as u32).to_le_bytes())
-        .and_then(|()| stream.write_all(bytes))
-        .map_err(|e| format!("send: {e}"))?;
-    let mut len = [0u8; 4];
-    stream
-        .read_exact(&mut len)
-        .map_err(|e| format!("recv: {e}"))?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > (1 << 24) {
-        return Err(format!("oversized reply frame ({len} bytes)"));
-    }
-    let mut reply = vec![0u8; len];
-    stream
-        .read_exact(&mut reply)
-        .map_err(|e| format!("recv: {e}"))?;
+    write_frame(&mut stream, payload.as_bytes()).map_err(|e| format!("send: {e}"))?;
+    let reply = read_frame(&mut stream)
+        .map_err(|e| format!("recv: {e}"))?
+        .ok_or_else(|| "recv: connection closed".to_string())?;
     let text = std::str::from_utf8(&reply).map_err(|_| "reply is not UTF-8".to_string())?;
     let root = JsonValue::parse(text).map_err(|e| format!("reply is not JSON: {e}"))?;
     if root.get("ok") != Some(&JsonValue::Bool(true)) {

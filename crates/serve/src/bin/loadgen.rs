@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! loadgen [--addr <host:port>] [--clients <n>] [--duration-secs <s>]
-//!         [--warmup <n>] [--workers <n>] [--engine-threads <n>]
+//!         [--warmup <n>] [--workers <n>]
 //!         [--max-batch <n>] [--max-wait-us <µs>] [--queue-depth <n>]
 //!         [--swap-every <n>]
 //!         [--network <1..8>] [--scheme <label>] [--seed <n>] [--width <scale>]
@@ -49,7 +49,7 @@ use flight_tensor::{uniform, TensorRng};
 
 const USAGE: &str = "usage:
   loadgen [--addr <host:port>] [--clients <n>] [--duration-secs <s>]
-          [--warmup <n>] [--workers <n>] [--engine-threads <n>]
+          [--warmup <n>] [--workers <n>]
           [--max-batch <n>] [--max-wait-us <us>] [--queue-depth <n>]
           [--swap-every <n>]
           [--network <1..8>] [--scheme <l1|l2|fp4w8a|full>] [--seed <n>] [--width <scale>]
@@ -78,7 +78,6 @@ struct Knobs {
     duration: Duration,
     warmup: usize,
     workers: usize,
-    engine_threads: usize,
     max_batch: usize,
     max_wait_us: u64,
     queue_depth: usize,
@@ -127,9 +126,6 @@ fn knobs_from(parsed: &ParsedArgs) -> Result<Knobs, String> {
         workers: parsed
             .usize_value("--workers", positive, "a positive integer")?
             .unwrap_or(2),
-        engine_threads: parsed
-            .usize_value("--engine-threads", |_| true, "an integer")?
-            .unwrap_or(1),
         max_batch: parsed
             .usize_value("--max-batch", positive, "a positive integer")?
             .unwrap_or(8),
@@ -209,7 +205,6 @@ fn run() -> i32 {
             "--duration-secs",
             "--warmup",
             "--workers",
-            "--engine-threads",
             "--max-batch",
             "--max-wait-us",
             "--queue-depth",
@@ -236,7 +231,7 @@ fn run() -> i32 {
     };
 
     let mut run = BenchRun::start("serve");
-    run.set_workers(knobs.workers * knobs.engine_threads.max(1));
+    run.set_workers(knobs.workers);
 
     // An in-process server unless the caller pointed us at one.
     let mut local = None;
@@ -245,10 +240,6 @@ fn run() -> i32 {
         None => {
             let config = ServerConfig {
                 workers: knobs.workers,
-                engine: match knobs.engine_threads {
-                    0 | 1 => flight_kernels::ExecutionPolicy::Sequential,
-                    threads => flight_kernels::ExecutionPolicy::Parallel { threads },
-                },
                 max_batch: knobs.max_batch,
                 max_wait_us: knobs.max_wait_us,
                 queue_depth: knobs.queue_depth,
@@ -519,7 +510,7 @@ fn scaling_block(knobs: &Knobs, qps: f64, e2e_ms: &Log2Histogram) -> JsonValue {
     let [c, h, w] = knobs.spec.image_dims;
     let ms = |q: f64| e2e_ms.percentile(q);
     let config = JsonObject::new()
-        .field("workers", knobs.workers * knobs.engine_threads.max(1))
+        .field("workers", knobs.workers)
         .field("batch", knobs.max_batch)
         .field("qps", qps)
         .field("samples", e2e_ms.total())

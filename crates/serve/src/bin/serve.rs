@@ -1,7 +1,7 @@
 //! `serve` — run the flight-serve inference server.
 //!
 //! ```text
-//! serve [--addr 127.0.0.1:7807] [--workers <n>] [--engine-threads <n>]
+//! serve [--addr 127.0.0.1:7807] [--workers <n>]
 //!       [--max-batch <n>] [--max-wait-us <µs>] [--queue-depth <n>]
 //!       [--profile-every <n>]
 //!       [--network <1..8>] [--scheme <l1|l2|fp4w8a|full>] [--seed <n>] [--width <scale>]
@@ -16,13 +16,12 @@
 //! sampling (default 16; 0 disables; read it with `flightctl profile`).
 //! Exit codes: 0 clean shutdown, 1 startup failure, 2 usage error.
 
-use flight_kernels::ExecutionPolicy;
 use flight_obs::cli::{parse_cli, ParsedArgs, EXIT_FAIL, EXIT_USAGE};
 use flight_serve::{ModelSpec, Server, ServerConfig};
 use flight_telemetry::Telemetry;
 
 const USAGE: &str = "usage:
-  serve [--addr 127.0.0.1:7807] [--workers <n>] [--engine-threads <n>]
+  serve [--addr 127.0.0.1:7807] [--workers <n>]
         [--max-batch <n>] [--max-wait-us <us>] [--queue-depth <n>]
         [--profile-every <n>]
         [--network <1..8>] [--scheme <l1|l2|fp4w8a|full>] [--seed <n>] [--width <scale>]
@@ -70,7 +69,6 @@ fn run() -> i32 {
         &[
             "--addr",
             "--workers",
-            "--engine-threads",
             "--max-batch",
             "--max-wait-us",
             "--queue-depth",
@@ -101,12 +99,6 @@ fn run() -> i32 {
         let positive = |v: usize| v > 0;
         if let Some(n) = parsed.usize_value("--workers", positive, "a positive integer")? {
             config.workers = n;
-        }
-        if let Some(n) = parsed.usize_value("--engine-threads", |_| true, "an integer")? {
-            config.engine = match n {
-                0 | 1 => ExecutionPolicy::Sequential,
-                threads => ExecutionPolicy::Parallel { threads },
-            };
         }
         if let Some(n) = parsed.usize_value("--max-batch", positive, "a positive integer")? {
             config.max_batch = n;

@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use flight_kernels::{ExecCtx, ExecutionPolicy};
+use flight_kernels::ExecCtx;
 use flight_telemetry::json::{JsonObject, JsonValue};
 use flight_telemetry::{
     trace_now_us, worker_prefix, StageProf, StageSample, Telemetry, DEFAULT_SAMPLE_EVERY,
@@ -65,10 +65,10 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (see
     /// [`Server::local_addr`]).
     pub addr: String,
-    /// Compute workers (each forms and executes whole batches).
+    /// Compute workers (each forms and executes whole batches). The
+    /// worker pool is the server's only layer of parallelism: each batch
+    /// runs sequentially on its worker.
     pub workers: usize,
-    /// Intra-batch execution policy for the forward call itself.
-    pub engine: ExecutionPolicy,
     /// Largest coalesced batch.
     pub max_batch: usize,
     /// Longest the first request in a batch waits for company, µs.
@@ -91,7 +91,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 1,
-            engine: ExecutionPolicy::Sequential,
             max_batch: 8,
             max_wait_us: 500,
             queue_depth: 256,
@@ -196,10 +195,9 @@ impl Server {
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 let queue_rx = Arc::clone(&queue_rx);
-                let engine = config.engine;
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &queue_rx, policy, engine, i))
+                    .spawn(move || worker_loop(&shared, &queue_rx, policy, i))
                     .expect("spawn worker")
             })
             .collect();
@@ -232,7 +230,7 @@ impl Server {
 
     /// Requests served so far.
     pub fn requests_served(&self) -> u64 {
-        self.shared.stats.requests()
+        self.shared.stats.sharded().merged().requests
     }
 
     /// The stats snapshot (same shape as the `stats` op's `stats`
@@ -385,7 +383,7 @@ fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<(
 /// offers its timeline to the exemplar ring. Runs on the connection
 /// thread, after the reply frame is on the wire.
 fn finish_infer(shared: &Arc<Shared>, done: &CompletedInfer) {
-    let shard = (done.request_id % shared.stats.shards() as u64) as usize;
+    let shard = (done.request_id % shared.stats.sharded().shards() as u64) as usize;
     shared.stats.record_request(shard, &done.phases);
     let us = |d: Duration| d.as_micros() as u64;
     shared.exemplars.offer(Exemplar {
@@ -414,7 +412,7 @@ fn infer(
         return (error_response("shutting down"), None);
     }
     let request_id = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
-    let shard = (request_id % shared.stats.shards() as u64) as usize;
+    let shard = (request_id % shared.stats.sharded().shards() as u64) as usize;
     let enqueued_us = trace_now_us() as u64;
     let (reply_tx, reply_rx) = mpsc::channel();
     let now = Instant::now();
@@ -494,7 +492,6 @@ fn worker_loop(
     shared: &Arc<Shared>,
     queue_rx: &Arc<Mutex<mpsc::Receiver<PendingRequest<InferReply>>>>,
     policy: BatchPolicy,
-    engine: ExecutionPolicy,
     worker: usize,
 ) {
     // Workers emit through the server's telemetry handle on their own
@@ -515,21 +512,13 @@ fn worker_loop(
         shared
             .queue_depth
             .fetch_sub(batch.len() as i64, Ordering::Relaxed);
-        run_batch(
-            shared,
-            batch,
-            engine,
-            &mut ctx,
-            &mut profile_scratch,
-            worker,
-        );
+        run_batch(shared, batch, &mut ctx, &mut profile_scratch, worker);
     }
 }
 
 fn run_batch(
     shared: &Arc<Shared>,
     batch: Vec<PendingRequest<InferReply>>,
-    engine: ExecutionPolicy,
     ctx: &mut ExecCtx,
     profile_scratch: &mut StageSample,
     worker: usize,
@@ -564,14 +553,13 @@ fn run_batch(
 
     // A batch is profiled when any member's request id is sampled, so
     // sampled requests keep their per-layer attribution even when
-    // coalesced. Profiled batches take the sequential stage walk
-    // (attribution requires it); logits are bit-identical either way.
+    // coalesced. Logits are bit-identical either way.
     let profiled = members.iter().any(|m| shared.profiler.sampled(m.id));
     let compute_start = Instant::now();
     let (out, _ops) = if profiled {
         model.net.forward_profiled(&input, ctx, profile_scratch)
     } else {
-        model.net.forward_with(&input, engine, ctx)
+        model.net.forward(&input, ctx)
     };
     let compute = compute_start.elapsed();
     if profiled {

@@ -22,33 +22,21 @@
 //!
 //! # Shards and windows
 //!
-//! [`ServeStats`] is sharded: every recorder writes into its own shard
-//! (workers by worker index, connection threads by `request_id %
-//! shards`), so the hot path never takes a contended lock — each shard
-//! has its own, touched by one writer and the occasional snapshot.
-//! Shards hold the same [`Tallies`] twice: a lifetime-cumulative copy,
-//! and a [`Windowed`] ring of 60 one-second buckets. Snapshot time
-//! merges shards bit-identically (the [`Log2Histogram`] /
-//! [`Windowed`] merge guarantees), so the merged report equals what a
-//! single global recorder would have produced — a property pinned by
-//! `tests/stats_shards.rs`.
+//! [`ServeStats`] is a [`Sharded`]`<`[`Tallies`]`>`: every recorder
+//! writes into its own shard (workers by worker index, connection
+//! threads by `request_id % shards`), each holding a lifetime copy and
+//! a rolling window of 60 one-second buckets. Snapshot time merges
+//! shards bit-identically, so the merged report equals what a single
+//! global recorder would have produced — a property pinned by
+//! `tests/shards.rs`.
 
-use std::sync::Mutex;
 use std::time::Duration;
 
 use flight_telemetry::json::{JsonObject, JsonValue};
-use flight_telemetry::{trace_now_us, Log2Histogram, Telemetry, WindowMerge, Windowed};
+use flight_telemetry::{trace_now_us, Log2Histogram, Sharded, Telemetry, WindowMerge, WINDOWS};
 
 /// The measured phases, in pipeline order, plus the derived `e2e`.
 pub const PHASES: [&str; 5] = ["queue", "batch_form", "compute", "reply_write", "e2e"];
-
-/// The reported windows: label and width in window buckets (seconds).
-pub const WINDOWS: [(&str, usize); 3] = [("1s", 1), ("10s", 10), ("60s", 60)];
-
-/// Ring size: enough one-second buckets for the widest window.
-const WINDOW_BUCKETS: usize = 60;
-/// One second, in the microsecond clock every window operation takes.
-const BUCKET_MICROS: u64 = 1_000_000;
 
 /// One request's measured phase durations.
 #[derive(Debug, Clone, Copy, Default)]
@@ -148,27 +136,11 @@ impl Tallies {
     }
 }
 
-/// One shard: a lifetime accumulator plus its rolling window.
-#[derive(Debug)]
-struct Shard {
-    lifetime: Tallies,
-    window: Windowed<Tallies>,
-}
-
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            lifetime: Tallies::default(),
-            window: Windowed::new(WINDOW_BUCKETS, BUCKET_MICROS),
-        }
-    }
-}
-
 /// Sharded, thread-safe serve statistics. See the module docs for the
 /// sharding and window semantics.
 #[derive(Debug)]
 pub struct ServeStats {
-    shards: Vec<Mutex<Shard>>,
+    shards: Sharded<Tallies>,
 }
 
 impl Default for ServeStats {
@@ -182,25 +154,17 @@ impl ServeStats {
     /// typically one per compute worker.
     pub fn new(shards: usize) -> ServeStats {
         ServeStats {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(Shard::new()))
-                .collect(),
+            shards: Sharded::new(shards),
         }
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, idx: usize) -> std::sync::MutexGuard<'_, Shard> {
-        self.shards[idx % self.shards.len()]
-            .lock()
-            .expect("stats shard poisoned")
+    /// The per-recorder shards (lifetime plus windowed tallies).
+    pub fn sharded(&self) -> &Sharded<Tallies> {
+        &self.shards
     }
 
     /// Records one completed request's phases into shard `shard` (the
-    /// connection thread passes `request_id % shards()`).
+    /// connection thread passes `request_id % shards`).
     pub fn record_request(&self, shard: usize, sample: &PhaseSample) {
         self.record_request_at(shard, sample, trace_now_us() as u64);
     }
@@ -208,9 +172,8 @@ impl ServeStats {
     /// [`record_request`](Self::record_request) with an explicit window
     /// clock, for deterministic tests.
     pub fn record_request_at(&self, shard: usize, sample: &PhaseSample, now_us: u64) {
-        let mut shard = self.shard(shard);
-        shard.lifetime.record_request(sample);
-        shard.window.bucket_at(now_us).record_request(sample);
+        self.shards
+            .record_at(shard, now_us, |t| t.record_request(sample));
     }
 
     /// Records one executed batch of `size` members (the compute worker
@@ -221,12 +184,10 @@ impl ServeStats {
 
     /// [`record_batch`](Self::record_batch) with an explicit window clock.
     pub fn record_batch_at(&self, shard: usize, size: usize, now_us: u64) {
-        let mut shard = self.shard(shard);
-        shard.lifetime.batches += 1;
-        shard.lifetime.batch_sizes.record(size as f64);
-        let bucket = shard.window.bucket_at(now_us);
-        bucket.batches += 1;
-        bucket.batch_sizes.record(size as f64);
+        self.shards.record_at(shard, now_us, |t| {
+            t.batches += 1;
+            t.batch_sizes.record(size as f64);
+        });
     }
 
     /// Records one request bounced by the full queue.
@@ -236,9 +197,7 @@ impl ServeStats {
 
     /// [`record_rejected`](Self::record_rejected) with an explicit clock.
     pub fn record_rejected_at(&self, shard: usize, now_us: u64) {
-        let mut shard = self.shard(shard);
-        shard.lifetime.rejected += 1;
-        shard.window.bucket_at(now_us).rejected += 1;
+        self.shards.record_at(shard, now_us, |t| t.rejected += 1);
     }
 
     /// Records one request that failed (bad image, worker timeout, …).
@@ -248,37 +207,7 @@ impl ServeStats {
 
     /// [`record_error`](Self::record_error) with an explicit clock.
     pub fn record_error_at(&self, shard: usize, now_us: u64) {
-        let mut shard = self.shard(shard);
-        shard.lifetime.errors += 1;
-        shard.window.bucket_at(now_us).errors += 1;
-    }
-
-    /// Completed (batched) request count.
-    pub fn requests(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("stats shard poisoned").lifetime.requests)
-            .sum()
-    }
-
-    /// The lifetime tallies, merged across shards — bit-identical to
-    /// what one global recorder would hold.
-    pub fn merged(&self) -> Tallies {
-        let mut merged = Tallies::default();
-        for shard in &self.shards {
-            merged.merge_from(&shard.lock().expect("stats shard poisoned").lifetime);
-        }
-        merged
-    }
-
-    /// The last-`window_buckets`-seconds tallies as of `now_us`, merged
-    /// across shards.
-    pub fn merged_window_at(&self, now_us: u64, window_buckets: usize) -> Tallies {
-        let mut merged: Windowed<Tallies> = Windowed::new(WINDOW_BUCKETS, BUCKET_MICROS);
-        for shard in &self.shards {
-            merged.merge_at(&shard.lock().expect("stats shard poisoned").window, now_us);
-        }
-        merged.fold_last(now_us, window_buckets)
+        self.shards.record_at(shard, now_us, |t| t.errors += 1);
     }
 
     /// The stats as a JSON object: lifetime counters, mean batch size,
@@ -290,10 +219,10 @@ impl ServeStats {
 
     /// [`snapshot_json`](Self::snapshot_json) with an explicit clock.
     pub fn snapshot_json_at(&self, now_us: u64) -> JsonValue {
-        let lifetime = self.merged();
+        let lifetime = self.shards.merged();
         let mut windows = JsonObject::new();
         for (label, buckets) in WINDOWS {
-            let w = self.merged_window_at(now_us, buckets);
+            let w = self.shards.merged_window_at(now_us, buckets);
             let secs = buckets as f64;
             let attempts = w.attempts();
             let rate = |n: u64| {
@@ -330,7 +259,7 @@ impl ServeStats {
 
     /// A copy of the merged end-to-end latency histogram (milliseconds).
     pub fn e2e_histogram(&self) -> Log2Histogram {
-        self.merged().phases[4].clone()
+        self.shards.merged().phases[4].clone()
     }
 
     /// Emits the merged histograms and counters through a telemetry
@@ -339,7 +268,7 @@ impl ServeStats {
         if !telemetry.enabled() {
             return;
         }
-        let merged = self.merged();
+        let merged = self.shards.merged();
         for (name, hist) in PHASES.iter().zip(&merged.phases) {
             telemetry.log2_histogram(&format!("serve.latency.{name}"), hist);
         }
@@ -445,27 +374,5 @@ mod tests {
             .unwrap();
         assert_eq!(qps60, 0.0, "windows must expire; lifetime must not");
         assert_eq!(later.get("requests").and_then(JsonValue::as_f64), Some(4.0));
-    }
-
-    #[test]
-    fn merged_equals_single_shard_recording() {
-        let sharded = ServeStats::new(4);
-        let single = ServeStats::new(1);
-        let t0 = 5_000_000u64;
-        for i in 0..40u64 {
-            let s = sample(i % 7);
-            sharded.record_request_at((i % 4) as usize, &s, t0 + i * 10_000);
-            single.record_request_at(0, &s, t0 + i * 10_000);
-            if i % 5 == 0 {
-                sharded.record_batch_at((i % 4) as usize, 5, t0 + i * 10_000);
-                single.record_batch_at(0, 5, t0 + i * 10_000);
-            }
-        }
-        assert_eq!(sharded.merged(), single.merged());
-        let now = t0 + 400_000;
-        assert_eq!(
-            sharded.merged_window_at(now, 10),
-            single.merged_window_at(now, 10)
-        );
     }
 }

@@ -1,102 +1,15 @@
-//! The per-layer profiler's sharding must be *indistinguishable* from
-//! a single global recorder — the same contract `tests/stats_shards.rs`
-//! pins for [`ServeStats`](flight_serve::ServeStats). Merging the
-//! per-worker [`StageProf`] shards at snapshot time has to be
-//! bit-identical to having funneled every sampled forward through one
-//! lock, for lifetime tallies and for every rolling window. And the
-//! 1-in-N sampling decision must be a pure function of the request id,
-//! so two servers under the same request stream profile the same
-//! requests.
+//! The per-layer profiler's 1-in-N sampling decision must be a pure
+//! function of the request id, so two servers under the same request
+//! stream profile the same requests. (Its shard merge is pinned
+//! together with the serve stats' in `tests/shards.rs`.)
 //!
 //! The file also covers the end-to-end loop: a live server with
 //! sampling at 1/1 answers the `profile` verb with every compiled
 //! stage attributed.
 
-use std::sync::Arc;
-
 use flight_serve::{ModelSpec, ServeClient, Server, ServerConfig};
 use flight_telemetry::json::JsonValue;
-use flight_telemetry::{sampled, StageProf, StageSample, MAX_STAGES};
-
-/// A deterministic pseudo-load: sampled forward `i` as a filled
-/// [`StageSample`] plus a synthetic clock spread over ~6 one-second
-/// window buckets (mirroring the stats shard test).
-fn event(i: u64) -> (StageSample, u64) {
-    const KINDS: [&str; 4] = ["conv", "leaky_relu", "maxpool", "linear"];
-    let mut sample = StageSample::new();
-    sample.reset();
-    sample.set_path(if i.is_multiple_of(5) {
-        "portable"
-    } else {
-        "avx2"
-    });
-    sample.set_images(1 + i % 4);
-    let stages = 3 + (i % 3) as usize;
-    for s in 0..stages {
-        sample.record_stage(
-            KINDS[s % KINDS.len()],
-            10_000 + (i * 97 + s as u64 * 31) % 900_000,
-            1_000 + (i * 53 + s as u64 * 17) % 40_000,
-        );
-    }
-    let now_us = 1_000_000 + (i % 6) * 1_000_000 + (i * 239) % 1_000_000;
-    (sample, now_us)
-}
-
-#[test]
-fn concurrent_sharded_recording_matches_a_single_lock_reference() {
-    const SHARDS: usize = 4;
-    const PER_SHARD: u64 = 400;
-
-    let sharded = Arc::new(StageProf::new(SHARDS, 16));
-    // Same shard count (the snapshot reports it), but every record
-    // funnels serially through shard 0 — the single-lock reference.
-    let reference = StageProf::new(SHARDS, 16);
-
-    // Concurrent writers, one per shard — the deployment shape.
-    let handles: Vec<_> = (0..SHARDS as u64)
-        .map(|shard| {
-            let sharded = Arc::clone(&sharded);
-            std::thread::spawn(move || {
-                for i in 0..PER_SHARD {
-                    let (sample, now_us) = event(shard * PER_SHARD + i);
-                    sharded.record_at(shard as usize, &sample, now_us);
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("writer thread");
-    }
-
-    // The same events, serially, through one shard.
-    for id in 0..SHARDS as u64 * PER_SHARD {
-        let (sample, now_us) = event(id);
-        reference.record_at(0, &sample, now_us);
-    }
-
-    // Lifetime tallies: bit-identical (StageTallies is PartialEq over
-    // exact histogram buckets and path counts, not approximate
-    // percentiles).
-    assert_eq!(sharded.merged(), reference.merged());
-
-    // Every reported window, probed at several clock positions, agrees
-    // bucket-for-bucket too.
-    for now_us in [1_500_000u64, 3_250_000, 6_900_000, 20_000_000] {
-        for window in [1usize, 10, 60] {
-            assert_eq!(
-                sharded.merged_window_at(now_us, window),
-                reference.merged_window_at(now_us, window),
-                "window {window}s @ {now_us}us"
-            );
-        }
-        assert_eq!(
-            sharded.snapshot_json_at(now_us).render(),
-            reference.snapshot_json_at(now_us).render(),
-            "rendered snapshot @ {now_us}us"
-        );
-    }
-}
+use flight_telemetry::{sampled, StageProf, MAX_STAGES};
 
 #[test]
 fn sampling_is_a_pure_function_of_the_request_id() {

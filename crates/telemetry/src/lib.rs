@@ -36,10 +36,16 @@
 //!   expiry and the same bit-identical shard-merge property, so a
 //!   server can report 1 s / 10 s / 60 s QPS and percentiles from
 //!   per-worker shards.
+//! * [`Sharded`] — per-worker `Mutex` shards of a [`WindowMerge`]
+//!   payload, each a lifetime total plus a 60 s [`Windowed`] ring, with
+//!   bit-identical snapshot merges and poison-tolerant locks. Serve
+//!   stats and the stage profiler are both built on it.
 //! * [`StageProf`] — an always-on sampling per-layer profiler for the
 //!   serving hot path: a fixed allocation-free [`StageSample`] scratch
 //!   per worker, deterministic 1-in-N request selection ([`sampled`]),
 //!   sharded windowed aggregation, and folded-stack flamegraph export.
+//! * [`frame`] — the length-prefixed wire framing ([`write_frame`] /
+//!   [`read_frame`]) the serve protocol and its clients share.
 //! * [`json`] — a minimal JSON value with render *and* parse, shared by
 //!   the JSONL sink, the bench run manifests, and the tests that validate
 //!   both.
@@ -81,10 +87,12 @@
 
 pub mod agg;
 pub mod event;
+pub mod frame;
 pub mod hist;
 pub mod json;
 pub mod jsonl;
 pub mod log2hist;
+pub mod sharded;
 pub mod sink;
 pub mod stageprof;
 pub mod track;
@@ -94,10 +102,12 @@ mod handle;
 
 pub use agg::AggregatingSink;
 pub use event::{Event, EventKind};
+pub use frame::{read_frame, write_frame, MAX_FRAME};
 pub use handle::{trace_now_us, Span, Telemetry};
 pub use hist::FixedHistogram;
 pub use jsonl::JsonlSink;
 pub use log2hist::{bucket_upper, Log2Histogram, SUB_BUCKETS_PER_OCTAVE};
+pub use sharded::{Sharded, WINDOWS};
 pub use sink::{CollectingSink, NullSink, PrefixSink, StderrSink, TelemetrySink};
 pub use stageprof::{
     sampled, StageProf, StageSample, StageStat, StageTallies, DEFAULT_SAMPLE_EVERY, MAX_STAGES,

@@ -14,14 +14,13 @@
 //!
 //! # Merge semantics
 //!
-//! Each shard keeps a lifetime [`StageTallies`] plus a
-//! [`Windowed`]`<StageTallies>` ring of 60 one-second buckets. Snapshot
-//! time merges shards bit-identically — the [`Log2Histogram`] /
-//! [`Windowed`] merge guarantees — so the merged per-layer report equals
-//! what one global recorder would have produced. Stage identity is the
-//! stage *index*; if two recordings disagree on a stage's kind (a hot
-//! swap changed the architecture mid-window) the stat is labelled
-//! `mixed` rather than guessing.
+//! The shards are a [`Sharded`]`<StageTallies>`: each keeps a lifetime
+//! [`StageTallies`] plus a rolling window of 60 one-second buckets.
+//! Snapshot time merges shards bit-identically, so the merged per-layer
+//! report equals what one global recorder would have produced. Stage
+//! identity is the stage *index*; if two recordings disagree on a
+//! stage's kind (a hot swap changed the architecture mid-window) the
+//! stat is labelled `mixed` rather than guessing.
 //!
 //! # Sampling policy
 //!
@@ -40,12 +39,11 @@
 //! friends. `flightctl export --format folded` produces the same lines
 //! from a `profile` snapshot JSON.
 
-use std::sync::Mutex;
-
 use crate::handle::trace_now_us;
 use crate::json::{JsonObject, JsonValue};
 use crate::log2hist::Log2Histogram;
-use crate::windowed::{WindowMerge, Windowed};
+use crate::sharded::{Sharded, WINDOWS};
+use crate::windowed::WindowMerge;
 
 /// Upper bound on profiled pipeline stages per forward. Far above any
 /// compiled network in this repo (residual blocks count as one stage);
@@ -59,14 +57,6 @@ pub const DEFAULT_SAMPLE_EVERY: u32 = 16;
 /// Stage kind label for index slots whose recordings disagreed (a hot
 /// swap changed the architecture mid-aggregation).
 pub const MIXED_KIND: &str = "mixed";
-
-/// The reported profile windows: label and width in one-second buckets.
-pub const PROFILE_WINDOWS: [(&str, usize); 3] = [("1s", 1), ("10s", 10), ("60s", 60)];
-
-/// Ring size: enough one-second buckets for the widest window.
-const WINDOW_BUCKETS: usize = 60;
-/// One second, in the microsecond clock every window operation takes.
-const BUCKET_MICROS: u64 = 1_000_000;
 
 /// Whether a request id is profile-sampled at rate 1-in-`every`.
 ///
@@ -359,28 +349,12 @@ impl StageTallies {
     }
 }
 
-/// One shard: a lifetime accumulator plus its rolling window.
-#[derive(Debug)]
-struct StageShard {
-    lifetime: StageTallies,
-    window: Windowed<StageTallies>,
-}
-
-impl StageShard {
-    fn new() -> StageShard {
-        StageShard {
-            lifetime: StageTallies::default(),
-            window: Windowed::new(WINDOW_BUCKETS, BUCKET_MICROS),
-        }
-    }
-}
-
 /// Sharded, thread-safe stage profiler. See the module docs for the
 /// sampling policy and merge semantics.
 #[derive(Debug)]
 pub struct StageProf {
     sample_every: u32,
-    shards: Vec<Mutex<StageShard>>,
+    shards: Sharded<StageTallies>,
 }
 
 impl StageProf {
@@ -390,9 +364,7 @@ impl StageProf {
     pub fn new(shards: usize, sample_every: u32) -> StageProf {
         StageProf {
             sample_every,
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(StageShard::new()))
-                .collect(),
+            shards: Sharded::new(shards),
         }
     }
 
@@ -401,20 +373,14 @@ impl StageProf {
         self.sample_every
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
+    /// The per-worker shards (lifetime plus windowed tallies).
+    pub fn sharded(&self) -> &Sharded<StageTallies> {
+        &self.shards
     }
 
     /// Whether `request_id` is sampled at this profiler's rate.
     pub fn sampled(&self, request_id: u64) -> bool {
         sampled(request_id, self.sample_every)
-    }
-
-    fn shard(&self, idx: usize) -> std::sync::MutexGuard<'_, StageShard> {
-        self.shards[idx % self.shards.len()]
-            .lock()
-            .expect("stage profile shard poisoned")
     }
 
     /// Flushes one forward's sample into shard `shard` (the compute
@@ -426,47 +392,22 @@ impl StageProf {
     /// [`record`](Self::record) with an explicit window clock, for
     /// deterministic tests.
     pub fn record_at(&self, shard: usize, sample: &StageSample, now_us: u64) {
-        let mut shard = self.shard(shard);
-        shard.lifetime.record(sample);
-        shard.window.bucket_at(now_us).record(sample);
-    }
-
-    /// The lifetime tallies, merged across shards — bit-identical to
-    /// what one global recorder would hold.
-    pub fn merged(&self) -> StageTallies {
-        let mut merged = StageTallies::default();
-        for shard in &self.shards {
-            merged.merge_from(&shard.lock().expect("stage profile shard poisoned").lifetime);
-        }
-        merged
-    }
-
-    /// The last-`window_buckets`-seconds tallies as of `now_us`, merged
-    /// across shards.
-    pub fn merged_window_at(&self, now_us: u64, window_buckets: usize) -> StageTallies {
-        let mut merged: Windowed<StageTallies> = Windowed::new(WINDOW_BUCKETS, BUCKET_MICROS);
-        for shard in &self.shards {
-            merged.merge_at(
-                &shard.lock().expect("stage profile shard poisoned").window,
-                now_us,
-            );
-        }
-        merged.fold_last(now_us, window_buckets)
+        self.shards.record_at(shard, now_us, |t| t.record(sample));
     }
 
     /// The profile as a JSON object: the sampling rate, the merged
     /// lifetime tallies (inline), and a `windows` block with one
-    /// [`StageTallies::json`] per [`PROFILE_WINDOWS`] label.
+    /// [`StageTallies::json`] per [`WINDOWS`] label.
     pub fn snapshot_json(&self) -> JsonValue {
         self.snapshot_json_at(trace_now_us() as u64)
     }
 
     /// [`snapshot_json`](Self::snapshot_json) with an explicit clock.
     pub fn snapshot_json_at(&self, now_us: u64) -> JsonValue {
-        let lifetime = self.merged();
+        let lifetime = self.shards.merged();
         let mut windows = JsonObject::new();
-        for (label, buckets) in PROFILE_WINDOWS {
-            windows = windows.field(label, self.merged_window_at(now_us, buckets).json());
+        for (label, buckets) in WINDOWS {
+            windows = windows.field(label, self.shards.merged_window_at(now_us, buckets).json());
         }
         let JsonValue::Object(mut fields) = lifetime.json() else {
             unreachable!("tallies json is an object")
@@ -478,7 +419,7 @@ impl StageProf {
             ),
             (
                 "shards".to_string(),
-                JsonValue::from(self.shards.len() as u64),
+                JsonValue::from(self.shards.shards() as u64),
             ),
         ];
         root.append(&mut fields);
@@ -526,7 +467,7 @@ mod tests {
             &sample(&[("conv", 600_000, 100), ("linear", 400_000, 10)], "avx2"),
             t0,
         );
-        let merged = prof.merged();
+        let merged = prof.sharded().merged();
         assert_eq!(merged.forwards, 2);
         assert_eq!(merged.images, 4);
         assert_eq!(merged.stages.len(), 2);
@@ -563,9 +504,13 @@ mod tests {
         let s = 1_000_000u64;
         prof.record_at(0, &sample(&[("conv", 1000, 5)], "scalar"), 10 * s);
         prof.record_at(1, &sample(&[("conv", 1000, 5)], "scalar"), 10 * s);
-        assert_eq!(prof.merged_window_at(10 * s, 1).forwards, 2);
-        assert_eq!(prof.merged_window_at(200 * s, 60).forwards, 0, "expired");
-        assert_eq!(prof.merged().forwards, 2, "lifetime survives");
+        assert_eq!(prof.sharded().merged_window_at(10 * s, 1).forwards, 2);
+        assert_eq!(
+            prof.sharded().merged_window_at(200 * s, 60).forwards,
+            0,
+            "expired"
+        );
+        assert_eq!(prof.sharded().merged().forwards, 2, "lifetime survives");
     }
 
     #[test]
