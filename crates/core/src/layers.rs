@@ -111,6 +111,13 @@ enum WeightQuant {
 }
 
 impl WeightQuant {
+    fn fixed_point_bits(&self) -> Option<u32> {
+        match self {
+            WeightQuant::FixedPoint { bits } => Some(*bits),
+            _ => None,
+        }
+    }
+
     fn from_scheme(scheme: &QuantScheme) -> Self {
         match scheme {
             QuantScheme::Full => WeightQuant::Float,
@@ -279,6 +286,13 @@ impl QuantConv2d {
     /// The bias parameter.
     pub fn bias(&self) -> &Param {
         &self.bias
+    }
+
+    /// The weight bit width of a fixed-point layer
+    /// ([`QuantScheme::FixedPoint`]'s `weight_bits`); `None` under every
+    /// other scheme.
+    pub fn fixed_point_bits(&self) -> Option<u32> {
+        self.quant.fixed_point_bits()
     }
 
     /// Stride of the convolution.
@@ -580,6 +594,12 @@ impl QuantLinear {
     /// Mutable threshold access.
     pub fn thresholds_mut(&mut self) -> Option<&mut Param> {
         self.thresholds.as_mut()
+    }
+
+    /// The weight bit width of a fixed-point layer (see
+    /// [`QuantConv2d::fixed_point_bits`]).
+    pub fn fixed_point_bits(&self) -> Option<u32> {
+        self.quant.fixed_point_bits()
     }
 
     /// Per-row shift counts (see

@@ -54,6 +54,18 @@ impl OpCounts {
         }
     }
 
+    /// Every field multiplied by `n` — e.g. a batch of `n` images at a
+    /// per-image cost.
+    pub(crate) fn times(self, n: u64) -> OpCounts {
+        OpCounts {
+            float_mults: self.float_mults * n,
+            float_adds: self.float_adds * n,
+            int_mults: self.int_mults * n,
+            int_adds: self.int_adds * n,
+            shifts: self.shifts * n,
+        }
+    }
+
     /// Total operations of any kind.
     pub fn total(&self) -> u64 {
         self.float_mults + self.float_adds + self.int_mults + self.int_adds + self.shifts

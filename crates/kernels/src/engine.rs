@@ -42,10 +42,11 @@ use flightnn::net::{NetLayer, QuantNet};
 
 use crate::counts::OpCounts;
 use crate::exec::{forward_parallel, Scratch};
-use crate::fixed::{fixed_point_conv_core, FixedWeights};
+use crate::fixed::FixedWeights;
+use crate::lower::{conv_core, TapOp};
 use crate::observe::{Null, Profile, StageObserver, Trace};
 use crate::qact::QuantActivations;
-use crate::shift::{shift_add_conv_core, ShiftKernel};
+use crate::shift::ShiftKernel;
 use crate::simd::{active_path, KernelPath};
 
 /// How a compiled conv/linear layer multiplies.
@@ -651,16 +652,11 @@ fn compile_conv(conv: &mut QuantConv2d) -> IntLayer {
     // Re-quantize: the layer's cache may be stale from the last training
     // step (the shadow weights moved after the last forward pass).
     let q = conv.quantize_weights();
-    let counts = conv.filter_shift_counts();
-    let weights = if counts.is_empty() {
-        // Full or fixed-point scheme: distinguish by checking whether the
-        // quantized weights differ from the shadow (fixed-point quantizes,
-        // full passes through).
-        if q == conv.shadow().value {
-            IntWeights::Float(q)
-        } else {
-            IntWeights::Fixed(FixedWeights::quantize(&conv.shadow().value, 4))
-        }
+    let weights = if let Some(bits) = conv.fixed_point_bits() {
+        IntWeights::Fixed(FixedWeights::quantize(&conv.shadow().value, bits))
+    } else if conv.filter_shift_counts().is_empty() {
+        // Full precision: the quantizer passed the shadow through.
+        IntWeights::Float(q)
     } else {
         let plan = shift_plan(conv);
         IntWeights::Shift(ShiftKernel::compile(&plan, conv.shadow().value.dims()))
@@ -678,15 +674,13 @@ fn compile_linear(lin: &mut QuantLinear) -> IntLayer {
     let q = lin.quantize_weights();
     let counts = lin.row_shift_counts();
     let dims = q.dims().to_vec();
-    let weights = if counts.is_empty() {
-        if q == lin.shadow().value {
-            // Full precision: lift [out, in] to a 1x1 conv weight.
-            IntWeights::Float(q.reshape(&[dims[0], dims[1], 1, 1]))
-        } else {
-            // 4-bit fixed point, reshaped to a 1x1 conv weight.
-            let w4 = lin.shadow().value.reshape(&[dims[0], dims[1], 1, 1]);
-            IntWeights::Fixed(FixedWeights::quantize(&w4, 4))
-        }
+    let weights = if let Some(bits) = lin.fixed_point_bits() {
+        // Fixed point, reshaped to a 1x1 conv weight.
+        let w = lin.shadow().value.reshape(&[dims[0], dims[1], 1, 1]);
+        IntWeights::Fixed(FixedWeights::quantize(&w, bits))
+    } else if counts.is_empty() {
+        // Full precision: lift [out, in] to a 1x1 conv weight.
+        IntWeights::Float(q.reshape(&[dims[0], dims[1], 1, 1]))
     } else {
         // A linear layer is a 1×1 conv on a 1×1 image.
         let plan = flightnn::convert::shift_plan_for(&q, &counts);
@@ -767,10 +761,9 @@ pub(crate) fn walk<O: StageObserver>(
     owned.unwrap_or_else(|| input.clone())
 }
 
-/// One integer conv over `x` with whichever datapath the layer compiled
-/// to, quantizing activations per image through the scratch buffers.
-/// `site` labels the quantization site (`"conv"` / `"linear"`) for the
-/// observer.
+/// One conv over `x` with whichever datapath the layer compiled to.
+/// `site` labels the activation quantization site (`"conv"` /
+/// `"linear"`) for the observer.
 #[allow(clippy::too_many_arguments)]
 fn conv_stage<O: StageObserver>(
     weights: &IntWeights,
@@ -783,60 +776,13 @@ fn conv_stage<O: StageObserver>(
     scratch: &mut Scratch,
     obs: &mut O,
 ) -> Tensor {
-    let d = x.dims();
-    assert_eq!(d.len(), 4, "conv input must be [n, c, h, w]");
+    assert_eq!(x.dims().len(), 4, "conv input must be [n, c, h, w]");
     match weights {
-        IntWeights::Shift(kernel) => {
-            QuantActivations::quantize_per_image_into(
-                x,
-                act_bits,
-                &mut scratch.codes,
-                &mut scratch.scales,
-            );
-            obs.quantized(site, &scratch.codes, act_bits);
-            let geom = Conv2dGeometry::new(d[1], d[2], d[3], kernel.kernel_size(), stride, padding);
-            let mut out = Tensor::zeros(&[d[0], kernel.filters(), geom.out_h, geom.out_w]);
-            obs.lowered(
-                || kernel.lowering_stats(&geom),
-                || {
-                    shift_add_conv_core(
-                        &scratch.codes,
-                        &scratch.scales,
-                        &geom,
-                        kernel,
-                        out.as_mut_slice(),
-                        counts,
-                        &mut scratch.lanes,
-                    )
-                },
-            );
-            out
+        IntWeights::Shift(k) => {
+            int_conv(k, site, act_bits, x, stride, padding, counts, scratch, obs)
         }
-        IntWeights::Fixed(fw) => {
-            QuantActivations::quantize_per_image_into(
-                x,
-                act_bits,
-                &mut scratch.codes,
-                &mut scratch.scales,
-            );
-            obs.quantized(site, &scratch.codes, act_bits);
-            let geom = Conv2dGeometry::new(d[1], d[2], d[3], fw.dims()[2], stride, padding);
-            let mut out = Tensor::zeros(&[d[0], fw.dims()[0], geom.out_h, geom.out_w]);
-            obs.lowered(
-                || fw.lowering_stats(&geom),
-                || {
-                    fixed_point_conv_core(
-                        &scratch.codes,
-                        &scratch.scales,
-                        &geom,
-                        fw,
-                        out.as_mut_slice(),
-                        counts,
-                        &mut scratch.lanes,
-                    )
-                },
-            );
-            out
+        IntWeights::Fixed(k) => {
+            int_conv(k, site, act_bits, x, stride, padding, counts, scratch, obs)
         }
         IntWeights::Float(w) => {
             let (o, _) = flight_nn::layers::functional::conv2d_forward(
@@ -855,6 +801,44 @@ fn conv_stage<O: StageObserver>(
             o
         }
     }
+}
+
+/// The integer conv stage of both datapaths: quantize activations per
+/// image through the scratch buffers, then run the kernel's lowered
+/// program.
+#[allow(clippy::too_many_arguments)]
+fn int_conv<K: TapOp, O: StageObserver>(
+    kernel: &K,
+    site: &'static str,
+    act_bits: u32,
+    x: &Tensor,
+    stride: usize,
+    padding: usize,
+    counts: &mut OpCounts,
+    scratch: &mut Scratch,
+    obs: &mut O,
+) -> Tensor {
+    let d = x.dims();
+    QuantActivations::quantize_per_image_into(x, act_bits, &mut scratch.codes, &mut scratch.scales);
+    obs.quantized(site, &scratch.codes, act_bits);
+    let (filters, _, k) = kernel.shape();
+    let geom = Conv2dGeometry::new(d[1], d[2], d[3], k, stride, padding);
+    let mut out = Tensor::zeros(&[d[0], filters, geom.out_h, geom.out_w]);
+    obs.lowered(
+        || kernel.lowered(&geom).stats(),
+        || {
+            conv_core(
+                &scratch.codes,
+                &scratch.scales,
+                &geom,
+                kernel,
+                out.as_mut_slice(),
+                counts,
+                &mut scratch.lanes,
+            )
+        },
+    );
+    out
 }
 
 fn run_layer<O: StageObserver>(

@@ -1,28 +1,25 @@
 //! Fixed-point convolution with true integer multiplies.
 //!
-//! Like the shift-add path (`shift.rs`), the interpreted tap loop is
-//! lowered once per [`Conv2dGeometry`] into a static schedule: per-tap
-//! flat input offsets precomputed in `(channel, row, column)` order, the
-//! output map split into a branchless interior and a checked border, and
-//! op accounting hoisted out of the loops (interior analytic, border
-//! from a one-time dry run). The interpreted loop is retained as
-//! [`fixed_point_conv_reference`] — the parity oracle and bench
-//! baseline. The fixed-point cost convention is unchanged: one integer
-//! multiply and one accumulate per executed tap (see [`OpCounts`]).
+//! The FP 4W8A baseline's datapath runs the same lowered program as the
+//! shift-add path (the `lower` module): the dense `[f, c, k, k]` weight
+//! codes lower to the shared per-filter bounds/offsets/codes layout,
+//! every tap kept (zeros included), so only the tap operation differs.
+//! This module supplies it as the `TapOp` impl of [`FixedWeights`]: the
+//! integer multiply `a · w` in i64, i32 lanes and AVX2 (`vpmulld`), the
+//! `|w|` lane weight, and the fixed-point cost convention — one integer
+//! multiply and one accumulate per executed tap (see [`OpCounts`]). The
+//! interpreted loop is retained as [`fixed_point_conv_reference`] — the
+//! parity oracle and bench baseline.
 
-use std::sync::{Arc, Mutex};
+#[cfg(target_arch = "x86_64")]
+use core::arch::x86_64::*;
 
 use flight_tensor::{Conv2dGeometry, Tensor};
 
 use crate::counts::OpCounts;
-use crate::lower::{for_each_border_position, interior_rect, InteriorRect};
+use crate::lower::{check_core_shapes, conv_core, conv_with, LoweredCache, LoweringStats, TapOp};
 use crate::qact::QuantActivations;
-use crate::shift::LoweringStats;
-use crate::simd::{
-    active_path, pack_lane_block, run_fixed_rect, BlockGeom, KernelPath, LaneCtx, LANES,
-};
-
-type LoweredCache = Arc<Mutex<Vec<(Conv2dGeometry, Arc<LoweredFixed>)>>>;
+use crate::simd::{active_path, KernelPath, LaneCtx};
 
 /// Fixed-point weights: integer codes plus one per-layer scale,
 /// `w ≈ codes · scale`, codes in `±(2^{bits−1} − 1)`.
@@ -33,7 +30,7 @@ pub struct FixedWeights {
     dims: Vec<usize>,
     /// Geometry-keyed lowered programs, shared across clones (and
     /// therefore across the parallel engine's workers).
-    lowered: LoweredCache,
+    lowered: LoweredCache<FixedWeights>,
 }
 
 // The lowering cache is derived state; equality is about the weights.
@@ -63,7 +60,7 @@ impl FixedWeights {
                 .collect(),
             scale,
             dims: weights.dims().to_vec(),
-            lowered: Arc::new(Mutex::new(Vec::new())),
+            lowered: LoweredCache::default(),
         }
     }
 
@@ -84,289 +81,66 @@ impl FixedWeights {
     /// (forces the lowering, which is cached). For the dense fixed-point
     /// path every filter has `c · k · k` taps.
     pub fn lowering_stats(&self, geom: &Conv2dGeometry) -> LoweringStats {
-        let lowered = self.lowered(geom);
+        self.lowered(geom).stats()
+    }
+}
+
+/// The fixed-point datapath: `a · w` per tap over dense weight codes.
+impl TapOp for FixedWeights {
+    type Code = i32;
+
+    #[inline]
+    fn term(a: i64, w: i32) -> i64 {
+        a * w as i64
+    }
+
+    #[inline]
+    fn lane_term(a: i32, w: i32) -> i32 {
+        a * w
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn avx2_term(v: __m256i, w: i32) -> __m256i {
+        _mm256_mullo_epi32(v, _mm256_set1_epi32(w))
+    }
+
+    /// `|w|`: each partial product is bounded by the accumulator bound
+    /// too, so the i32 lane multiply cannot wrap either.
+    fn lane_weight(w: i32) -> Option<u64> {
+        Some(w.unsigned_abs() as u64)
+    }
+
+    /// `t` multiplies and `t` accumulates.
+    fn tally(t: u64) -> OpCounts {
+        OpCounts {
+            int_mults: t,
+            int_adds: t,
+            ..OpCounts::default()
+        }
+    }
+
+    fn shape(&self) -> (usize, usize, usize) {
         let (f, c, kh, kw) = (self.dims[0], self.dims[1], self.dims[2], self.dims[3]);
-        LoweringStats {
-            interior_positions: lowered.interior_positions,
-            border_positions: lowered.border_positions,
-            total_taps: f * c * kh * kw,
-            filters: f,
-        }
+        assert_eq!(kh, kw, "kernels must be square");
+        (f, c, kh)
     }
 
-    /// The lowered program for `geom`, building and caching it on first
-    /// use.
-    fn lowered(&self, geom: &Conv2dGeometry) -> Arc<LoweredFixed> {
-        let mut cache = self.lowered.lock().expect("lowering cache poisoned");
-        if let Some((_, program)) = cache.iter().find(|(g, _)| g == geom) {
-            return program.clone();
-        }
-        let program = Arc::new(LoweredFixed::build(self, geom));
-        cache.push((*geom, program.clone()));
-        program
-    }
-}
-
-/// One dense tap on the checked border path: channel plane base plus the
-/// tap's kernel-window deltas (the position loop folds padding into its
-/// window origin).
-#[derive(Debug, Clone, Copy)]
-struct BorderTap {
-    /// `ch · h · w` — flat base of the tap's input channel plane.
-    plane: u32,
-    /// Kernel row `ki`.
-    di: i32,
-    /// Kernel column `kj`.
-    dj: i32,
-}
-
-/// [`FixedWeights`] lowered against one concrete geometry.
-#[derive(Debug)]
-struct LoweredFixed {
-    rect: InteriorRect,
-    /// Per tap of one filter volume (`c · k · k` entries, in weight
-    /// order): flat input offset relative to the window origin.
-    offsets: Vec<u32>,
-    /// Per tap: checked-path decoding (parallel to `offsets`).
-    border: Vec<BorderTap>,
-    /// Per-image op totals; the fixed convention is one multiply and one
-    /// add per executed tap, so the two counts are equal.
-    macs_per_image: u64,
-    interior_positions: usize,
-    border_positions: usize,
-    /// Worst-case per-filter magnitude multiplier `max_f Σ_taps |w|`: an
-    /// interior accumulator is bounded by `max |code| · lane_weight`,
-    /// which must fit i32 for the lane path to match the scalar i64
-    /// accumulation bit-for-bit.
-    lane_weight: u64,
-}
-
-impl LoweredFixed {
-    fn build(weights: &FixedWeights, geom: &Conv2dGeometry) -> LoweredFixed {
-        let (h, w) = (geom.in_h, geom.in_w);
-        let (f, c, kh, kw) = (
-            weights.dims[0],
-            weights.dims[1],
-            weights.dims[2],
-            weights.dims[3],
-        );
-        debug_assert_eq!(kh, geom.kernel, "geometry/kernel size mismatch");
-        assert!(
-            geom.in_channels * h * w <= u32::MAX as usize,
-            "input volume too large for lowered offsets"
-        );
-        let p = geom.padding as i32;
-        let rect = interior_rect(geom);
-
-        // Unlike the sparse shift taps, the fixed filter volume is dense:
-        // offsets are the same for every filter, in weight-code order.
-        let mut offsets = Vec::with_capacity(c * kh * kw);
-        let mut border = Vec::with_capacity(c * kh * kw);
-        for ch in 0..c {
-            for ki in 0..kh {
-                for kj in 0..kw {
-                    offsets.push((ch * h * w + ki * w + kj) as u32);
-                    border.push(BorderTap {
-                        plane: (ch * h * w) as u32,
-                        di: ki as i32,
-                        dj: kj as i32,
-                    });
-                }
-            }
-        }
-
-        // Interior accounting is analytic; border is a one-time dry run
-        // of the checked path. Executed taps are filter-independent, so
-        // count once per position and multiply by `f`.
-        let interior_positions = rect.positions();
-        let mut macs = (f * c * kh * kw * interior_positions) as u64;
-        let mut border_positions = 0usize;
-        for_each_border_position(geom, &rect, |oi, oj| {
-            border_positions += 1;
-            let ii0 = (oi * geom.stride) as i32 - p;
-            let jj0 = (oj * geom.stride) as i32 - p;
-            let executed = border
-                .iter()
-                .filter(|bt| {
-                    let ii = ii0 + bt.di;
-                    let jj = jj0 + bt.dj;
-                    (0..h as i32).contains(&ii) && (0..w as i32).contains(&jj)
-                })
-                .count() as u64;
-            macs += executed * f as u64;
-        });
-
-        // Lane-eligibility bound: the largest per-filter Σ|w| (see the
-        // field docs). The i32 lane multiply itself cannot wrap either
-        // under the same bound, since every partial product is ≤ the
-        // accumulator bound.
-        let ckk = c * kh * kw;
-        let mut lane_weight = 0u64;
-        for fi in 0..f {
-            let filter_weight: u64 = weights.codes[fi * ckk..(fi + 1) * ckk]
-                .iter()
-                .map(|wv| wv.unsigned_abs() as u64)
-                .sum();
-            lane_weight = lane_weight.max(filter_weight);
-        }
-
-        LoweredFixed {
-            rect,
-            offsets,
-            border,
-            macs_per_image: macs,
-            interior_positions,
-            border_positions,
-            lane_weight,
-        }
+    fn weight_scale(&self) -> f32 {
+        self.scale
     }
 
-    /// The path this call actually runs (see `LoweredShift::lane_path`):
-    /// the requested lane path only when the batch fills a lane block,
-    /// the interior is nonempty, and i32 lane accumulation provably
-    /// cannot wrap; [`KernelPath::Scalar`] otherwise.
-    fn lane_path(&self, requested: KernelPath, codes: &[i32], n: usize) -> KernelPath {
-        if requested == KernelPath::Scalar || n < LANES || self.interior_positions == 0 {
-            return KernelPath::Scalar;
-        }
-        let max_abs = codes
+    fn filter_taps(&self, fi: usize) -> impl Iterator<Item = (usize, i32)> + '_ {
+        let ckk = self.codes.len() / self.dims[0];
+        self.codes[fi * ckk..(fi + 1) * ckk]
             .iter()
-            .map(|c| c.unsigned_abs() as u64)
-            .max()
-            .unwrap_or(0);
-        if max_abs.saturating_mul(self.lane_weight) > i32::MAX as u64 {
-            return KernelPath::Scalar;
-        }
-        requested
+            .copied()
+            .enumerate()
     }
 
-    /// Executes the lowered program: lane-blocked SIMD interior where
-    /// eligible (full blocks of [`LANES`] images), scalar interior MACs
-    /// otherwise, checked scalar border always. Writes outputs only —
-    /// accounting is precomputed and dispatch-invariant.
-    fn run(
-        &self,
-        weights: &FixedWeights,
-        codes_in: &[i32],
-        scales: &[f32],
-        geom: &Conv2dGeometry,
-        out: &mut [f32],
-        lanes: &mut LaneCtx,
-    ) {
-        let n = scales.len();
-        let path = self.lane_path(lanes.path(), codes_in, n);
-        let lane_images = if path == KernelPath::Scalar {
-            0
-        } else {
-            n - n % LANES
-        };
-
-        if lane_images > 0 {
-            let chw = geom.in_channels * geom.in_h * geom.in_w;
-            let (f, ckk) = (weights.dims[0], self.offsets.len());
-            let img_stride = f * geom.out_h * geom.out_w;
-            let g = BlockGeom {
-                rect: self.rect,
-                stride: geom.stride,
-                padding: geom.padding,
-                in_w: geom.in_w,
-                out_w: geom.out_w,
-            };
-            for b0 in (0..lane_images).step_by(LANES) {
-                pack_lane_block(
-                    &codes_in[b0 * chw..(b0 + LANES) * chw],
-                    chw,
-                    &mut lanes.block,
-                );
-                let mut out_scales = [0f32; LANES];
-                for (l, slot) in out_scales.iter_mut().enumerate() {
-                    *slot = scales[b0 + l] * weights.scale;
-                }
-                for fi in 0..f {
-                    run_fixed_rect(
-                        path,
-                        &lanes.block,
-                        &self.offsets,
-                        &weights.codes[fi * ckk..(fi + 1) * ckk],
-                        &g,
-                        out,
-                        (b0 * f + fi) * geom.out_h * geom.out_w,
-                        img_stride,
-                        &out_scales,
-                    );
-                }
-            }
-            // The border ring of the lane-covered images stays scalar.
-            self.run_scalar(weights, codes_in, scales, geom, out, 0..lane_images, false);
-        }
-
-        // Remnant images (or the whole batch when the lane path is off)
-        // run the per-image scalar path.
-        self.run_scalar(weights, codes_in, scales, geom, out, lane_images..n, true);
-    }
-
-    /// The per-image scalar path over a range of images: i64-accumulated
-    /// interior (when `include_interior`) plus the checked border.
-    #[allow(clippy::too_many_arguments)]
-    fn run_scalar(
-        &self,
-        weights: &FixedWeights,
-        codes_in: &[i32],
-        scales: &[f32],
-        geom: &Conv2dGeometry,
-        out: &mut [f32],
-        images: std::ops::Range<usize>,
-        include_interior: bool,
-    ) {
-        let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
-        let chw = c * h * w;
-        let (stride, padding) = (geom.stride, geom.padding);
-        let (f, ckk) = (weights.dims[0], self.offsets.len());
-        let (out_h, out_w) = (geom.out_h, geom.out_w);
-        let rect = self.rect;
-        let wcodes = &weights.codes;
-
-        for b in images {
-            let out_scale = scales[b] * weights.scale;
-            let img = &codes_in[b * chw..(b + 1) * chw];
-            for fi in 0..f {
-                let filter = &wcodes[fi * ckk..(fi + 1) * ckk];
-
-                // Interior: no padding branch, no index decode, no
-                // per-tap accounting — load, multiply, accumulate.
-                // Skipped when a lane block already wrote these bits.
-                if include_interior {
-                    for oi in rect.oi_lo..rect.oi_hi {
-                        let out_row = ((b * f + fi) * out_h + oi) * out_w;
-                        let in_row = (oi * stride - padding) * w;
-                        for oj in rect.oj_lo..rect.oj_hi {
-                            let base = in_row + oj * stride - padding;
-                            let mut acc: i64 = 0;
-                            for (&o, &wv) in self.offsets.iter().zip(filter) {
-                                acc += img[base + o as usize] as i64 * wv as i64;
-                            }
-                            out[out_row + oj] = acc as f32 * out_scale;
-                        }
-                    }
-                }
-
-                // Border: the checked path, on the thin frame only.
-                for_each_border_position(geom, &rect, |oi, oj| {
-                    let ii0 = (oi * stride) as i32 - padding as i32;
-                    let jj0 = (oj * stride) as i32 - padding as i32;
-                    let mut acc: i64 = 0;
-                    for (bt, &wv) in self.border.iter().zip(filter) {
-                        let ii = ii0 + bt.di;
-                        let jj = jj0 + bt.dj;
-                        if (0..h as i32).contains(&ii) && (0..w as i32).contains(&jj) {
-                            let a = img[bt.plane as usize + ii as usize * w + jj as usize];
-                            acc += a as i64 * wv as i64;
-                        }
-                    }
-                    out[((b * f + fi) * out_h + oi) * out_w + oj] = acc as f32 * out_scale;
-                });
-            }
-        }
+    fn cache(&self) -> &LoweredCache<Self> {
+        &self.lowered
     }
 }
 
@@ -399,12 +173,12 @@ pub fn fixed_point_conv_with_path(
     padding: usize,
     path: KernelPath,
 ) -> (Tensor, OpCounts) {
-    fixed_point_conv_with(
+    conv_with(
         act,
         weights,
         stride,
         padding,
-        fixed_point_conv_core,
+        conv_core,
         LaneCtx::with_path(path),
     )
 }
@@ -419,7 +193,7 @@ pub fn fixed_point_conv_reference(
     stride: usize,
     padding: usize,
 ) -> (Tensor, OpCounts) {
-    fixed_point_conv_with(
+    conv_with(
         act,
         weights,
         stride,
@@ -427,80 +201,6 @@ pub fn fixed_point_conv_reference(
         fixed_point_conv_reference_core,
         LaneCtx::with_path(KernelPath::Scalar),
     )
-}
-
-type FixedCore =
-    fn(&[i32], &[f32], &Conv2dGeometry, &FixedWeights, &mut [f32], &mut OpCounts, &mut LaneCtx);
-
-fn fixed_point_conv_with(
-    act: &QuantActivations,
-    weights: &FixedWeights,
-    stride: usize,
-    padding: usize,
-    core: FixedCore,
-    mut lanes: LaneCtx,
-) -> (Tensor, OpCounts) {
-    let ad = act.dims();
-    assert_eq!(ad.len(), 4, "activations must be [n, c, h, w]");
-    let (n, c, h, w) = (ad[0], ad[1], ad[2], ad[3]);
-    let geom = Conv2dGeometry::new(c, h, w, weights.dims[2], stride, padding);
-    let mut out = Tensor::zeros(&[n, weights.dims[0], geom.out_h, geom.out_w]);
-    let scales = vec![act.scale(); n];
-    let mut counts = OpCounts::default();
-    core(
-        act.codes(),
-        &scales,
-        &geom,
-        weights,
-        out.as_mut_slice(),
-        &mut counts,
-        &mut lanes,
-    );
-    (out, counts)
-}
-
-/// Validates the shared layout contract of the conv cores (see
-/// `shift_add_conv_core` in `shift.rs`, which is identical).
-fn check_core_shapes(
-    codes: &[i32],
-    scales: &[f32],
-    geom: &Conv2dGeometry,
-    weights: &FixedWeights,
-    out: &[f32],
-) {
-    let n = scales.len();
-    let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
-    let wd = &weights.dims;
-    let (f, wc, kh, kw) = (wd[0], wd[1], wd[2], wd[3]);
-    assert_eq!(kh, kw, "kernels must be square");
-    assert_eq!(wc, c, "weight channels {wc} != activation channels {c}");
-    assert_eq!(kh, geom.kernel, "geometry/kernel size mismatch");
-    assert_eq!(codes.len(), n * c * h * w, "codes length mismatch");
-    assert_eq!(
-        out.len(),
-        n * f * geom.out_positions(),
-        "output length mismatch"
-    );
-}
-
-/// Fixed-point convolution over raw integer codes with one scale per
-/// image — the per-worker scratch entry point of the batched execution
-/// engine (lowered path).
-pub(crate) fn fixed_point_conv_core(
-    codes: &[i32],
-    scales: &[f32],
-    geom: &Conv2dGeometry,
-    weights: &FixedWeights,
-    out: &mut [f32],
-    counts: &mut OpCounts,
-    lanes: &mut LaneCtx,
-) {
-    check_core_shapes(codes, scales, geom, weights, out);
-    let lowered = weights.lowered(geom);
-    lowered.run(weights, codes, scales, geom, out, lanes);
-    let n = scales.len() as u64;
-    counts.int_mults += n * lowered.macs_per_image;
-    counts.int_adds += n * lowered.macs_per_image;
 }
 
 /// The interpreted tap loop the lowered core replaced: per-tap bounds

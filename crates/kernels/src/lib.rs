@@ -22,12 +22,14 @@
 //!   produces logits bit-identical to the sequential path, because
 //!   activations are quantized with one scale per image.
 //!
-//! Both integer datapaths run **lowered tap programs**: the interpreted
-//! per-tap loop is compiled once per layer geometry into precomputed
-//! flat input offsets (shift/sign packed into one `u32` per tap for the
-//! shift path), the output map is split into a branchless interior and a
-//! checked border (the `lower` module), and op accounting is hoisted out
-//! of the loops entirely. The interpreted loops are retained as
+//! Both integer datapaths run **one lowered tap program** (the `lower`
+//! module): the interpreted per-tap loop is compiled once per layer
+//! geometry into precomputed flat input offsets plus per-tap codes
+//! (shift/sign packed into one `u32` for the shift path, the weight for
+//! the fixed path), the output map is split into a branchless interior
+//! and a checked border, and op accounting is hoisted out of the loops
+//! entirely. Each datapath supplies only its tap operation. The
+//! interpreted loops are retained as
 //! [`shift_add_conv_reference`] / [`fixed_point_conv_reference`] — the
 //! parity oracles (bit-identical logits *and* counts, enforced by
 //! proptests) and the baselines of the `lowering` bench exhibit.

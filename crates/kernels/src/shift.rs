@@ -10,42 +10,33 @@
 //!
 //! [`ShiftKernel::compile`] decodes the plan once into a flat tap table
 //! sorted by `(channel, kernel row, kernel column)` with the shift amount
-//! and sign packed into a single `u32` per tap. On first contact with a
-//! concrete [`Conv2dGeometry`] the kernel lowers that table into a
-//! per-geometry program (cached, shared across clones and worker
-//! threads):
-//!
-//! * every tap gets a precomputed flat input offset relative to the
-//!   output position's window origin, so the hot loop is a branchless
-//!   load → shift → sign-fold → accumulate with no index arithmetic;
-//! * the output map splits into an **interior** (no tap can fall outside
-//!   the input; the padding branch disappears) and a thin **border**
-//!   that keeps the checked path (see the `lower` module);
-//! * op accounting is hoisted out of the loops entirely: interior counts
-//!   are `taps × positions`, computed analytically, and border counts
-//!   come from a one-time per-geometry dry run — [`OpCounts`] stays
-//!   bit-identical to the interpreted reference
-//!   ([`shift_add_conv_reference`]), which is retained as the parity
-//!   oracle and the lowering bench baseline.
+//! and sign packed into a single `u32` per tap. Lowering and running
+//! that table is the shared lowered program of the `lower` module (per-
+//! geometry offsets, interior/border split, hoisted op accounting, SIMD
+//! lanes); this module supplies only the shift datapath's tap operation
+//! — its `TapOp` impl: the signed shift term in i64, i32 lanes and AVX2,
+//! the `2^s` lane weight (refusing shifts above `MAX_LANE_SHIFT`), and
+//! the `k` shifts / `k − 1` adds convention of [`OpCounts`]. The
+//! interpreted loop is retained as [`shift_add_conv_reference`], the
+//! parity oracle and the lowering bench baseline.
 
-use std::sync::{Arc, Mutex};
+#[cfg(target_arch = "x86_64")]
+use core::arch::x86_64::*;
 
 use flight_tensor::{Conv2dGeometry, Tensor};
 use flightnn::convert::ShiftPlan;
 use flightnn::pow2::pow2_exponent;
 
 use crate::counts::OpCounts;
-use crate::lower::{for_each_border_position, interior_rect, InteriorRect};
+pub use crate::lower::LoweringStats;
+use crate::lower::{check_core_shapes, conv_core, conv_with, LoweredCache, TapOp};
 use crate::qact::QuantActivations;
-use crate::simd::{
-    active_path, pack_lane_block, run_shift_rect, BlockGeom, KernelPath, LaneCtx, LANES,
-    MAX_LANE_SHIFT,
-};
+use crate::simd::{active_path, KernelPath, LaneCtx, MAX_LANE_SHIFT};
 
 /// Packed tap code layout: shift amount in the low 6 bits, sign in the
-/// top bit (`1` = subtract). Shared with the lane kernels in `simd.rs`.
-pub(crate) const SHIFT_MASK: u32 = 0x3f;
-pub(crate) const SIGN_BIT: u32 = 1 << 31;
+/// top bit (`1` = subtract).
+const SHIFT_MASK: u32 = 0x3f;
+const SIGN_BIT: u32 = 1 << 31;
 
 /// One compiled tap: flat kernel-space offset plus the packed shift/sign
 /// code.
@@ -144,35 +135,6 @@ fn strict_pow2_exponent(v: f32) -> Option<i32> {
     ((e as f32).exp2() == v.abs()).then_some(e)
 }
 
-/// How a [`ShiftKernel`] decomposes one output geometry — surfaced to
-/// telemetry (`kernel.lowering.*` gauges) and the lowering bench exhibit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoweringStats {
-    /// Output positions on the branchless interior path.
-    pub interior_positions: usize,
-    /// Output positions on the checked border path.
-    pub border_positions: usize,
-    /// Total shift taps across all filters.
-    pub total_taps: usize,
-    /// Number of filters.
-    pub filters: usize,
-}
-
-impl LoweringStats {
-    /// Mean taps per filter (`0.0` for an empty kernel).
-    pub fn mean_taps_per_filter(&self) -> f64 {
-        if self.filters == 0 {
-            0.0
-        } else {
-            self.total_taps as f64 / self.filters as f64
-        }
-    }
-}
-
-/// Geometry-keyed cache of lowered programs. Networks see one geometry
-/// per layer, so the list stays tiny; linear lookup beats hashing.
-type LoweredCache = Arc<Mutex<Vec<(Conv2dGeometry, Arc<LoweredShift>)>>>;
-
 /// A conv layer compiled for shift-add execution.
 ///
 /// # Example
@@ -205,7 +167,7 @@ pub struct ShiftKernel {
     kernel: usize,
     /// Lowered tap programs, one per geometry, shared across clones (and
     /// therefore across the parallel engine's workers).
-    lowered: LoweredCache,
+    lowered: LoweredCache<ShiftKernel>,
 }
 
 impl ShiftKernel {
@@ -306,7 +268,7 @@ impl ShiftKernel {
             base_scale: (min_exp as f32).exp2(),
             in_channels: c,
             kernel: kh,
-            lowered: Arc::new(Mutex::new(Vec::new())),
+            lowered: LoweredCache::default(),
         })
     }
 
@@ -347,381 +309,71 @@ impl ShiftKernel {
     /// The interior/border decomposition this kernel uses for `geom`
     /// (forces the lowering, which is cached).
     pub fn lowering_stats(&self, geom: &Conv2dGeometry) -> LoweringStats {
-        let lowered = self.lowered(geom);
-        LoweringStats {
-            interior_positions: lowered.interior_positions,
-            border_positions: lowered.border_positions,
-            total_taps: self.total_taps(),
-            filters: self.filters(),
-        }
-    }
-
-    /// The lowered program for `geom`, building and caching it on first
-    /// use. Clones share the cache, so the parallel engine lowers each
-    /// layer geometry exactly once.
-    fn lowered(&self, geom: &Conv2dGeometry) -> Arc<LoweredShift> {
-        let mut cache = self.lowered.lock().expect("lowering cache poisoned");
-        if let Some((_, program)) = cache.iter().find(|(g, _)| g == geom) {
-            return program.clone();
-        }
-        let program = Arc::new(LoweredShift::build(self, geom));
-        cache.push((*geom, program.clone()));
-        program
+        self.lowered(geom).stats()
     }
 }
 
-/// One tap on the checked border path: channel plane base plus the tap's
-/// kernel-window deltas (the position loop folds padding into its window
-/// origin).
-#[derive(Debug, Clone, Copy)]
-struct BorderTap {
-    /// `ch · h · w` — flat base of the tap's input channel plane.
-    plane: u32,
-    /// Kernel row `ki`.
-    di: i32,
-    /// Kernel column `kj`.
-    dj: i32,
-}
+/// The shift-add datapath: `±(a << s)` per tap, packed as `SHIFT_MASK`
+/// / `SIGN_BIT` codes.
+impl TapOp for ShiftKernel {
+    type Code = u32;
 
-/// A [`ShiftKernel`] lowered against one concrete [`Conv2dGeometry`]:
-/// precomputed interior offsets, decoded border taps, and the op totals
-/// hoisted out of the runtime loops.
-#[derive(Debug)]
-struct LoweredShift {
-    rect: InteriorRect,
-    /// Per tap: flat input offset relative to the output position's
-    /// window origin (`ch·h·w + ki·w + kj`); indexed by the kernel's
-    /// `bounds`.
-    offsets: Vec<u32>,
-    /// Per tap: packed shift/sign code (parallel to `offsets`).
-    codes: Vec<u32>,
-    /// Per tap: checked-path decoding (parallel to `offsets`).
-    border: Vec<BorderTap>,
-    /// Shift ops one image costs (interior analytic + border dry run).
-    shifts_per_image: u64,
-    /// Integer adds one image costs under the `k` shifts / `k−1` adds
-    /// convention (see [`OpCounts`]).
-    adds_per_image: u64,
-    interior_positions: usize,
-    border_positions: usize,
-    /// Largest packed shift amount across all taps — the lane path
-    /// requires it ≤ [`MAX_LANE_SHIFT`] so `a << s` stays defined (and
-    /// bounded) in i32.
-    max_shift: u32,
-    /// Worst-case per-filter magnitude multiplier `max_f Σ_taps 2^s`:
-    /// an interior accumulator is bounded by `max |code| · lane_weight`,
-    /// which must fit i32 for the lane path to match the scalar i64
-    /// accumulation bit-for-bit.
-    lane_weight: u64,
-}
+    #[inline]
+    fn term(a: i64, code: u32) -> i64 {
+        // Branchless sign fold: `(term ^ m) - m` with `m = 0` (add) or
+        // `m = -1` (subtract).
+        let m = ((code as i32) >> 31) as i64;
+        ((a << (code & SHIFT_MASK)) ^ m) - m
+    }
 
-impl LoweredShift {
-    fn build(kernel: &ShiftKernel, geom: &Conv2dGeometry) -> LoweredShift {
-        let (h, w) = (geom.in_h, geom.in_w);
-        let k = geom.kernel;
-        let p = geom.padding as i32;
-        debug_assert_eq!(k, kernel.kernel, "geometry/kernel size mismatch");
-        assert!(
-            geom.in_channels * h * w <= u32::MAX as usize,
-            "input volume too large for lowered offsets"
-        );
-        let rect = interior_rect(geom);
+    #[inline]
+    fn lane_term(a: i32, code: u32) -> i32 {
+        let m = (code as i32) >> 31;
+        ((a << (code & SHIFT_MASK)) ^ m) - m
+    }
 
-        let mut offsets = Vec::with_capacity(kernel.taps.len());
-        let mut codes = Vec::with_capacity(kernel.taps.len());
-        let mut border = Vec::with_capacity(kernel.taps.len());
-        for tap in &kernel.taps {
-            let off = tap.offset as usize;
-            let (ch, ki, kj) = (off / (k * k), (off / k) % k, off % k);
-            offsets.push((ch * h * w + ki * w + kj) as u32);
-            codes.push(tap.code);
-            border.push(BorderTap {
-                plane: (ch * h * w) as u32,
-                di: ki as i32,
-                dj: kj as i32,
-            });
-        }
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn avx2_term(v: __m256i, code: u32) -> __m256i {
+        // `a << s`, the same shift for every lane, then the sign fold.
+        let term = _mm256_sll_epi32(v, _mm_cvtsi32_si128((code & SHIFT_MASK) as i32));
+        let m = _mm256_set1_epi32((code as i32) >> 31);
+        _mm256_sub_epi32(_mm256_xor_si256(term, m), m)
+    }
 
-        // Interior accounting is analytic: every tap executes at every
-        // interior position, and a filter with `t` executed taps costs
-        // `t` shifts and `t − 1` adds.
-        let interior_positions = rect.positions();
-        let mut shifts = 0u64;
-        let mut adds = 0u64;
-        for fi in 0..kernel.filters() {
-            let t = (kernel.bounds[fi + 1] - kernel.bounds[fi]) as u64;
-            shifts += t * interior_positions as u64;
-            adds += t.saturating_sub(1) * interior_positions as u64;
-        }
+    /// `2^s`; shifts above [`MAX_LANE_SHIFT`] refuse lanes, which keeps
+    /// `a << s` defined (and bounded) in i32.
+    fn lane_weight(code: u32) -> Option<u64> {
+        let s = code & SHIFT_MASK;
+        (s <= MAX_LANE_SHIFT).then(|| 1u64 << s)
+    }
 
-        // Border accounting is a one-time dry run of the checked path.
-        let mut border_positions = 0usize;
-        for_each_border_position(geom, &rect, |oi, oj| {
-            border_positions += 1;
-            let ii0 = (oi * geom.stride) as i32 - p;
-            let jj0 = (oj * geom.stride) as i32 - p;
-            for fi in 0..kernel.filters() {
-                let lo = kernel.bounds[fi] as usize;
-                let hi = kernel.bounds[fi + 1] as usize;
-                let executed = border[lo..hi]
-                    .iter()
-                    .filter(|bt| {
-                        let ii = ii0 + bt.di;
-                        let jj = jj0 + bt.dj;
-                        (0..h as i32).contains(&ii) && (0..w as i32).contains(&jj)
-                    })
-                    .count() as u64;
-                shifts += executed;
-                adds += executed.saturating_sub(1);
-            }
-        });
-
-        // Lane-eligibility bounds (see the field docs): worst-case shift
-        // and per-filter magnitude multiplier, both over the packed codes.
-        let mut max_shift = 0u32;
-        let mut lane_weight = 0u64;
-        for fi in 0..kernel.filters() {
-            let mut filter_weight = 0u64;
-            for cd in &codes[kernel.bounds[fi] as usize..kernel.bounds[fi + 1] as usize] {
-                let s = cd & SHIFT_MASK;
-                max_shift = max_shift.max(s);
-                filter_weight =
-                    filter_weight.saturating_add(1u64.checked_shl(s).unwrap_or(u64::MAX));
-            }
-            lane_weight = lane_weight.max(filter_weight);
-        }
-
-        LoweredShift {
-            rect,
-            offsets,
-            codes,
-            border,
-            shifts_per_image: shifts,
-            adds_per_image: adds,
-            interior_positions,
-            border_positions,
-            max_shift,
-            lane_weight,
+    /// `t` shifts and `t − 1` adds.
+    fn tally(t: u64) -> OpCounts {
+        OpCounts {
+            shifts: t,
+            int_adds: t.saturating_sub(1),
+            ..OpCounts::default()
         }
     }
 
-    /// The path this call actually runs: the requested lane path only
-    /// when the batch fills at least one lane block, the interior is
-    /// nonempty, and i32 lane accumulation provably cannot wrap (see
-    /// the `lane_weight` field docs); [`KernelPath::Scalar`] otherwise.
-    fn lane_path(&self, requested: KernelPath, codes: &[i32], n: usize) -> KernelPath {
-        if requested == KernelPath::Scalar
-            || n < LANES
-            || self.interior_positions == 0
-            || self.max_shift > MAX_LANE_SHIFT
-        {
-            return KernelPath::Scalar;
-        }
-        let max_abs = codes
-            .iter()
-            .map(|c| c.unsigned_abs() as u64)
-            .max()
-            .unwrap_or(0);
-        if max_abs.saturating_mul(self.lane_weight) > i32::MAX as u64 {
-            return KernelPath::Scalar;
-        }
-        requested
+    fn shape(&self) -> (usize, usize, usize) {
+        (self.filters(), self.in_channels, self.kernel)
     }
 
-    /// Executes the lowered program: lane-blocked SIMD interior where
-    /// eligible (full blocks of [`LANES`] images), scalar interior
-    /// otherwise, checked scalar border always. Writes outputs only —
-    /// op accounting lives in the precomputed per-image totals, which
-    /// are dispatch-invariant.
-    fn run(
-        &self,
-        kernel: &ShiftKernel,
-        codes_in: &[i32],
-        scales: &[f32],
-        geom: &Conv2dGeometry,
-        out: &mut [f32],
-        lanes: &mut LaneCtx,
-    ) {
-        let n = scales.len();
-        let path = self.lane_path(lanes.path(), codes_in, n);
-        let lane_images = if path == KernelPath::Scalar {
-            0
-        } else {
-            n - n % LANES
-        };
-
-        if lane_images > 0 {
-            let chw = geom.in_channels * geom.in_h * geom.in_w;
-            let f = kernel.filters();
-            let img_stride = f * geom.out_h * geom.out_w;
-            let g = BlockGeom {
-                rect: self.rect,
-                stride: geom.stride,
-                padding: geom.padding,
-                in_w: geom.in_w,
-                out_w: geom.out_w,
-            };
-            for b0 in (0..lane_images).step_by(LANES) {
-                pack_lane_block(
-                    &codes_in[b0 * chw..(b0 + LANES) * chw],
-                    chw,
-                    &mut lanes.block,
-                );
-                let mut out_scales = [0f32; LANES];
-                for (l, slot) in out_scales.iter_mut().enumerate() {
-                    *slot = scales[b0 + l] * kernel.base_scale;
-                }
-                for fi in 0..f {
-                    let lo = kernel.bounds[fi] as usize;
-                    let hi = kernel.bounds[fi + 1] as usize;
-                    run_shift_rect(
-                        path,
-                        &lanes.block,
-                        &self.offsets[lo..hi],
-                        &self.codes[lo..hi],
-                        &g,
-                        out,
-                        (b0 * f + fi) * geom.out_h * geom.out_w,
-                        img_stride,
-                        &out_scales,
-                    );
-                }
-            }
-            // The border ring of the lane-covered images stays scalar.
-            self.run_scalar(kernel, codes_in, scales, geom, out, 0..lane_images, false);
-        }
-
-        // Remnant images (or the whole batch when the lane path is off)
-        // run the per-image scalar path, so any batch size produces the
-        // same bits as solo inference.
-        self.run_scalar(kernel, codes_in, scales, geom, out, lane_images..n, true);
+    fn weight_scale(&self) -> f32 {
+        self.base_scale
     }
 
-    /// The per-image scalar path over a range of images: i64-accumulated
-    /// interior (when `include_interior`) plus the checked border.
-    #[allow(clippy::too_many_arguments)]
-    fn run_scalar(
-        &self,
-        kernel: &ShiftKernel,
-        codes_in: &[i32],
-        scales: &[f32],
-        geom: &Conv2dGeometry,
-        out: &mut [f32],
-        images: std::ops::Range<usize>,
-        include_interior: bool,
-    ) {
-        let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
-        let chw = c * h * w;
-        let (stride, padding) = (geom.stride, geom.padding);
-        let f = kernel.filters();
-        let (out_h, out_w) = (geom.out_h, geom.out_w);
-        let rect = self.rect;
-
-        for b in images {
-            let out_scale = scales[b] * kernel.base_scale;
-            let img = &codes_in[b * chw..(b + 1) * chw];
-            for fi in 0..f {
-                let lo = kernel.bounds[fi] as usize;
-                let hi = kernel.bounds[fi + 1] as usize;
-                let offs = &self.offsets[lo..hi];
-                let tap_codes = &self.codes[lo..hi];
-
-                // Interior: no padding branch, no index decode, no
-                // per-tap accounting — load, shift, sign-fold, add.
-                // Skipped when a lane block already wrote these bits.
-                if include_interior {
-                    for oi in rect.oi_lo..rect.oi_hi {
-                        let out_row = ((b * f + fi) * out_h + oi) * out_w;
-                        let in_row = (oi * stride - padding) * w;
-                        for oj in rect.oj_lo..rect.oj_hi {
-                            let base = in_row + oj * stride - padding;
-                            let mut acc: i64 = 0;
-                            for (&o, &cd) in offs.iter().zip(tap_codes) {
-                                let a = img[base + o as usize] as i64;
-                                let term = a << (cd & SHIFT_MASK);
-                                let mask = ((cd as i32) >> 31) as i64;
-                                acc += (term ^ mask) - mask;
-                            }
-                            out[out_row + oj] = acc as f32 * out_scale;
-                        }
-                    }
-                }
-
-                // Border: the checked path, on the thin frame only.
-                let border_taps = &self.border[lo..hi];
-                for_each_border_position(geom, &rect, |oi, oj| {
-                    let ii0 = (oi * stride) as i32 - padding as i32;
-                    let jj0 = (oj * stride) as i32 - padding as i32;
-                    let mut acc: i64 = 0;
-                    for (bt, &cd) in border_taps.iter().zip(tap_codes) {
-                        let ii = ii0 + bt.di;
-                        let jj = jj0 + bt.dj;
-                        if (0..h as i32).contains(&ii) && (0..w as i32).contains(&jj) {
-                            let a = img[bt.plane as usize + ii as usize * w + jj as usize] as i64;
-                            let term = a << (cd & SHIFT_MASK);
-                            let mask = ((cd as i32) >> 31) as i64;
-                            acc += (term ^ mask) - mask;
-                        }
-                    }
-                    out[((b * f + fi) * out_h + oi) * out_w + oj] = acc as f32 * out_scale;
-                });
-            }
-        }
+    fn filter_taps(&self, fi: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let taps = &self.taps[self.bounds[fi] as usize..self.bounds[fi + 1] as usize];
+        taps.iter().map(|t| (t.offset as usize, t.code))
     }
-}
 
-/// Validates the shared layout contract of the conv cores.
-fn check_core_shapes(
-    codes: &[i32],
-    scales: &[f32],
-    geom: &Conv2dGeometry,
-    kernel: &ShiftKernel,
-    out: &[f32],
-) {
-    let n = scales.len();
-    let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
-    assert_eq!(
-        c, kernel.in_channels,
-        "activation channels {c} != kernel channels {}",
-        kernel.in_channels
-    );
-    assert_eq!(geom.kernel, kernel.kernel, "geometry/kernel size mismatch");
-    assert_eq!(codes.len(), n * c * h * w, "codes length mismatch");
-    assert_eq!(
-        out.len(),
-        n * kernel.filters() * geom.out_positions(),
-        "output length mismatch"
-    );
-}
-
-/// Shift-add convolution over raw integer codes with one scale per image
-/// — the lowered core.
-///
-/// `scales.len()` is the batch size `n`; image `b`'s codes occupy
-/// `codes[b·chw .. (b+1)·chw]` and its outputs are rescaled by
-/// `scales[b] · kernel.base_scale`. Results accumulate into `out`
-/// (length `n · filters · out_positions`, row-major `[n, f, oh, ow]`)
-/// and op counts into `counts`, so the execution engine can drive this
-/// from reusable per-worker scratch buffers.
-///
-/// Per-image scales are what make each image's pipeline independent of
-/// its batchmates — the invariant the batched engine's bit-exact
-/// parallel/sequential parity rests on.
-pub(crate) fn shift_add_conv_core(
-    codes: &[i32],
-    scales: &[f32],
-    geom: &Conv2dGeometry,
-    kernel: &ShiftKernel,
-    out: &mut [f32],
-    counts: &mut OpCounts,
-    lanes: &mut LaneCtx,
-) {
-    check_core_shapes(codes, scales, geom, kernel, out);
-    let lowered = kernel.lowered(geom);
-    lowered.run(kernel, codes, scales, geom, out, lanes);
-    let n = scales.len() as u64;
-    counts.shifts += n * lowered.shifts_per_image;
-    counts.int_adds += n * lowered.adds_per_image;
+    fn cache(&self) -> &LoweredCache<Self> {
+        &self.lowered
+    }
 }
 
 /// The interpreted tap loop the lowered core replaced: re-decodes every
@@ -811,12 +463,12 @@ pub fn shift_add_conv_with_path(
     padding: usize,
     path: KernelPath,
 ) -> (Tensor, OpCounts) {
-    shift_add_conv_with(
+    conv_with(
         act,
         kernel,
         stride,
         padding,
-        shift_add_conv_core,
+        conv_core,
         LaneCtx::with_path(path),
     )
 }
@@ -831,7 +483,7 @@ pub fn shift_add_conv_reference(
     stride: usize,
     padding: usize,
 ) -> (Tensor, OpCounts) {
-    shift_add_conv_with(
+    conv_with(
         act,
         kernel,
         stride,
@@ -841,39 +493,12 @@ pub fn shift_add_conv_reference(
     )
 }
 
-type ShiftCore =
-    fn(&[i32], &[f32], &Conv2dGeometry, &ShiftKernel, &mut [f32], &mut OpCounts, &mut LaneCtx);
-
-fn shift_add_conv_with(
-    act: &QuantActivations,
-    kernel: &ShiftKernel,
-    stride: usize,
-    padding: usize,
-    core: ShiftCore,
-    mut lanes: LaneCtx,
-) -> (Tensor, OpCounts) {
-    let ad = act.dims();
-    assert_eq!(ad.len(), 4, "activations must be [n, c, h, w]");
-    let (n, c, h, w) = (ad[0], ad[1], ad[2], ad[3]);
-    let geom = Conv2dGeometry::new(c, h, w, kernel.kernel, stride, padding);
-    let mut out = Tensor::zeros(&[n, kernel.filters(), geom.out_h, geom.out_w]);
-    let scales = vec![act.scale(); n];
-    let mut counts = OpCounts::default();
-    core(
-        act.codes(),
-        &scales,
-        &geom,
-        kernel,
-        out.as_mut_slice(),
-        &mut counts,
-        &mut lanes,
-    );
-    (out, counts)
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::simd::LANES;
     use flight_nn::layers::functional::conv2d_forward;
     use flight_tensor::{uniform, TensorRng};
     use flightnn::convert::{shift_plan, FilterPlan, SubFilter};
@@ -959,7 +584,7 @@ mod tests {
         let geom = Conv2dGeometry::new(2, 6, 6, 3, 1, 1);
         let mut out = vec![0.0f32; 3 * kernel.filters() * geom.out_positions()];
         let mut counts = OpCounts::default();
-        shift_add_conv_core(
+        conv_core(
             &codes,
             &scales,
             &geom,
@@ -1131,7 +756,8 @@ mod tests {
         let kernel = ShiftKernel::compile(&plan, &[1, 1, 2, 2]);
         let geom = Conv2dGeometry::new(1, 6, 6, 2, 1, 0);
         let lowered = kernel.lowered(&geom);
-        assert!(lowered.max_shift > MAX_LANE_SHIFT);
+        let max_shift = kernel.taps.iter().map(|t| t.code & SHIFT_MASK).max();
+        assert!(max_shift.unwrap() > MAX_LANE_SHIFT);
         assert_eq!(
             lowered.lane_path(KernelPath::Portable, &[127; 8 * 36], 8),
             KernelPath::Scalar

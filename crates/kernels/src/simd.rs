@@ -1,12 +1,15 @@
 //! Batch-major SIMD lanes for the lowered tap programs.
 //!
-//! The lowered interior loops of both integer datapaths (`shift.rs`,
-//! `fixed.rs`) are branchless but scalar: one shift/sign/add (or one
-//! multiply/add) per tap per output position per image. This module
-//! vectorizes them **batch-major**: a lane holds the *same spatial
-//! position across [`LANES`] images*, so the tap program — offsets,
-//! shift amounts, signs, weights — is identical for every element of
-//! the lane and broadcasts across it with no per-lane control flow.
+//! The lowered program (`lower.rs`) runs its interior loop branchless
+//! but scalar: one tap term per tap per output position per image. This
+//! module vectorizes it **batch-major**: a lane holds the *same spatial
+//! position across [`LANES`] images*, so the tap program — offsets and
+//! codes — is identical for every element of the lane and broadcasts
+//! across it with no per-lane control flow. There is one rect loop per
+//! implementation (portable and AVX2), generic over the datapath's
+//! `TapOp`: the shift path supplies a broadcast shift plus branchless
+//! sign fold, the fixed path an `_mm256_mullo_epi32`, each
+//! monomorphized into the loop.
 //!
 //! That requires a layout change. Activations arrive as per-image
 //! planes (`codes[b · chw ..]`, NCHW); the lane kernels read a
@@ -44,19 +47,21 @@
 //!
 //! # Exactness
 //!
-//! The scalar cores accumulate in `i64`; the lane cores accumulate in
+//! The scalar path accumulates in `i64`; the lanes accumulate in
 //! `i32`. They agree bit-for-bit iff the i32 accumulation cannot wrap,
-//! which the lowering proves *per call*: each lowered program records
-//! the worst-case per-filter magnitude multiplier (`Σ 2^s` over a
-//! filter's taps for the shift path, `Σ |w|` for the fixed path), and
-//! the runner takes the lane path only when
+//! which the lowering proves *per call*, in one place for both
+//! datapaths (`Lowered::lane_path`): each lowered program records the
+//! worst-case per-filter magnitude multiplier — the sum of the
+//! datapath's per-tap lane weight, `2^s` for a shift tap (taps shifting
+//! by more than `MAX_LANE_SHIFT` refuse lanes outright) and `|w|` for
+//! a fixed-point tap — and the runner takes the lane path only when
 //! `max |code| · multiplier ≤ i32::MAX`. 8-bit activations with
 //! realistic tap programs pass by orders of magnitude; adversarial
 //! inputs silently fall back to the scalar path instead of wrapping.
 
 use std::sync::OnceLock;
 
-use crate::lower::InteriorRect;
+use crate::lower::{InteriorRect, TapOp};
 
 /// Images per SIMD lane block (i32×8 — one AVX2 register).
 pub const LANES: usize = 8;
@@ -260,22 +265,21 @@ pub(crate) struct BlockGeom {
     pub out_w: usize,
 }
 
-use crate::shift::SHIFT_MASK;
-
-/// Runs one filter's shift taps over the interior rectangle of one
-/// lane block, dispatching on `path` ([`KernelPath::Scalar`] is the
-/// caller's responsibility and never reaches here).
+/// Runs one filter's taps over the interior rectangle of one lane
+/// block, dispatching on `path` ([`KernelPath::Scalar`] is the caller's
+/// responsibility and never reaches here). `codes` is parallel to
+/// `offs`.
 ///
 /// `filter_base` is the flat output index of `(b0, fi, 0, 0)` and
 /// `img_stride` the per-image output stride `f · oh · ow`, so lane `l`
 /// of position `(oi, oj)` lands at
 /// `filter_base + l · img_stride + oi · out_w + oj`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_shift_rect(
+pub(crate) fn run_rect<K: TapOp>(
     path: KernelPath,
     block: &[i32],
     offs: &[u32],
-    codes: &[u32],
+    codes: &[K::Code],
     g: &BlockGeom,
     out: &mut [f32],
     filter_base: usize,
@@ -287,7 +291,7 @@ pub(crate) fn run_shift_rect(
         KernelPath::Avx2 => unsafe {
             // Safety: dispatch only selects Avx2 after
             // `is_x86_feature_detected!("avx2")`.
-            avx2::shift_rect(
+            avx2::rect::<K>(
                 block,
                 offs,
                 codes,
@@ -298,7 +302,7 @@ pub(crate) fn run_shift_rect(
                 out_scales,
             )
         },
-        _ => shift_rect_portable(
+        _ => rect_portable::<K>(
             block,
             offs,
             codes,
@@ -311,59 +315,14 @@ pub(crate) fn run_shift_rect(
     }
 }
 
-/// Runs one filter's dense fixed-point taps over the interior
-/// rectangle of one lane block (see [`run_shift_rect`] for the output
-/// indexing contract). `weights` is the filter's `c · k · k` codes,
-/// parallel to `offs`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_fixed_rect(
-    path: KernelPath,
-    block: &[i32],
-    offs: &[u32],
-    weights: &[i32],
-    g: &BlockGeom,
-    out: &mut [f32],
-    filter_base: usize,
-    img_stride: usize,
-    out_scales: &[f32; LANES],
-) {
-    match path {
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2 => unsafe {
-            // Safety: dispatch only selects Avx2 after
-            // `is_x86_feature_detected!("avx2")`.
-            avx2::fixed_rect(
-                block,
-                offs,
-                weights,
-                g,
-                out,
-                filter_base,
-                img_stride,
-                out_scales,
-            )
-        },
-        _ => fixed_rect_portable(
-            block,
-            offs,
-            weights,
-            g,
-            out,
-            filter_base,
-            img_stride,
-            out_scales,
-        ),
-    }
-}
-
-/// The portable lane implementation of the shift interior: identical
-/// loop structure to the AVX2 version, over `[i32; LANES]` arrays the
+/// The portable lane implementation of the interior: identical loop
+/// structure to the AVX2 version, over `[i32; LANES]` arrays the
 /// compiler is free to auto-vectorize.
 #[allow(clippy::too_many_arguments)]
-fn shift_rect_portable(
+fn rect_portable<K: TapOp>(
     block: &[i32],
     offs: &[u32],
-    codes: &[u32],
+    codes: &[K::Code],
     g: &BlockGeom,
     out: &mut [f32],
     filter_base: usize,
@@ -378,44 +337,9 @@ fn shift_rect_portable(
             let mut acc = [0i32; LANES];
             for (&o, &cd) in offs.iter().zip(codes) {
                 let p = (base + o as usize) * LANES;
-                let s = cd & SHIFT_MASK;
-                let m = (cd as i32) >> 31;
                 let lanes: &[i32; LANES] = block[p..p + LANES].try_into().expect("lane width");
                 for l in 0..LANES {
-                    let term = lanes[l] << s;
-                    acc[l] += (term ^ m) - m;
-                }
-            }
-            for (l, &scale) in out_scales.iter().enumerate() {
-                out[out_row + oj + l * img_stride] = acc[l] as f32 * scale;
-            }
-        }
-    }
-}
-
-/// The portable lane implementation of the fixed-point interior.
-#[allow(clippy::too_many_arguments)]
-fn fixed_rect_portable(
-    block: &[i32],
-    offs: &[u32],
-    weights: &[i32],
-    g: &BlockGeom,
-    out: &mut [f32],
-    filter_base: usize,
-    img_stride: usize,
-    out_scales: &[f32; LANES],
-) {
-    for oi in g.rect.oi_lo..g.rect.oi_hi {
-        let in_row = (oi * g.stride - g.padding) * g.in_w;
-        let out_row = filter_base + oi * g.out_w;
-        for oj in g.rect.oj_lo..g.rect.oj_hi {
-            let base = in_row + oj * g.stride - g.padding;
-            let mut acc = [0i32; LANES];
-            for (&o, &wv) in offs.iter().zip(weights) {
-                let p = (base + o as usize) * LANES;
-                let lanes: &[i32; LANES] = block[p..p + LANES].try_into().expect("lane width");
-                for l in 0..LANES {
-                    acc[l] += lanes[l] * wv;
+                    acc[l] += K::lane_term(lanes[l], cd);
                 }
             }
             for (l, &scale) in out_scales.iter().enumerate() {
@@ -427,26 +351,26 @@ fn fixed_rect_portable(
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! The AVX2 lane kernels. Each function carries
+    //! The AVX2 lane kernel. It carries
     //! `#[target_feature(enable = "avx2")]` and must only be reached
     //! through the runtime-detected dispatch in the parent module.
 
     use core::arch::x86_64::*;
 
     use super::{BlockGeom, LANES};
-    use crate::shift::SHIFT_MASK;
+    use crate::lower::TapOp;
 
-    /// One filter's shift taps over the interior rect, i32×8.
+    /// One filter's taps over the interior rect, i32×8.
     ///
     /// # Safety
     ///
     /// Caller must have verified AVX2 support.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn shift_rect(
+    pub(crate) unsafe fn rect<K: TapOp>(
         block: &[i32],
         offs: &[u32],
-        codes: &[u32],
+        codes: &[K::Code],
         g: &BlockGeom,
         out: &mut [f32],
         filter_base: usize,
@@ -464,55 +388,7 @@ mod avx2 {
                     let p = (base + o as usize) * LANES;
                     debug_assert!(p + LANES <= block.len());
                     let v = _mm256_loadu_si256(src.add(p) as *const __m256i);
-                    // `a << s`, the same shift for every lane.
-                    let count = _mm_cvtsi32_si128((cd & SHIFT_MASK) as i32);
-                    let term = _mm256_sll_epi32(v, count);
-                    // Branchless sign fold: `(term ^ m) - m` with
-                    // `m = 0` (add) or `m = -1` (subtract).
-                    let m = _mm256_set1_epi32((cd as i32) >> 31);
-                    let signed = _mm256_sub_epi32(_mm256_xor_si256(term, m), m);
-                    acc = _mm256_add_epi32(acc, signed);
-                }
-                let mut lanes = [0i32; LANES];
-                _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-                for (l, &scale) in out_scales.iter().enumerate() {
-                    out[out_row + oj + l * img_stride] = lanes[l] as f32 * scale;
-                }
-            }
-        }
-    }
-
-    /// One filter's dense fixed-point taps over the interior rect,
-    /// i32×8 multiplies (`vpmulld`).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn fixed_rect(
-        block: &[i32],
-        offs: &[u32],
-        weights: &[i32],
-        g: &BlockGeom,
-        out: &mut [f32],
-        filter_base: usize,
-        img_stride: usize,
-        out_scales: &[f32; LANES],
-    ) {
-        let src = block.as_ptr();
-        for oi in g.rect.oi_lo..g.rect.oi_hi {
-            let in_row = (oi * g.stride - g.padding) * g.in_w;
-            let out_row = filter_base + oi * g.out_w;
-            for oj in g.rect.oj_lo..g.rect.oj_hi {
-                let base = in_row + oj * g.stride - g.padding;
-                let mut acc = _mm256_setzero_si256();
-                for (&o, &wv) in offs.iter().zip(weights) {
-                    let p = (base + o as usize) * LANES;
-                    debug_assert!(p + LANES <= block.len());
-                    let v = _mm256_loadu_si256(src.add(p) as *const __m256i);
-                    let w = _mm256_set1_epi32(wv);
-                    acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(v, w));
+                    acc = _mm256_add_epi32(acc, K::avx2_term(v, cd));
                 }
                 let mut lanes = [0i32; LANES];
                 _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);

@@ -360,3 +360,44 @@ fn profiled_forward_is_bit_identical_and_attributes_every_stage() {
     let (first_kind, _, _) = sample.stage(0).expect("stage 0");
     assert_eq!(first_kind, "conv", "network 1 opens with a conv stage");
 }
+
+#[test]
+fn fixed_point_layers_compile_at_their_own_weight_bits() {
+    use flight_kernels::fixed::{fixed_point_conv, FixedWeights};
+    use flight_kernels::{CompiledNet, ExecCtx, QuantActivations};
+    use flight_tensor::{uniform, Tensor};
+    use flightnn::layers::QuantConv2d;
+
+    // An 8-bit fixed-point conv must serve 8-bit weights, not 4-bit.
+    let scheme = QuantScheme::FixedPoint {
+        weight_bits: 8,
+        act_bits: 8,
+    };
+    let mut rng = TensorRng::seed(23);
+    let mut conv = QuantConv2d::new(&mut rng, &scheme, 3, 4, 3, 1, 1);
+    let bias = Tensor::from_slice(&[0.5, -0.25, 1.0, 0.125]);
+    conv.visit_params(&mut |p| {
+        if p.value.dims() == [4] {
+            p.value = bias.clone();
+        }
+    });
+    let shadow = conv.shadow().value.clone();
+    let mut net = QuantNet::new();
+    net.push_conv(conv);
+    let compiled = CompiledNet::compile(&mut net, false).expect("compiles");
+
+    // One image, so the engine's per-image scale is the tensor scale.
+    let x = uniform(&mut rng, &[1, 3, 6, 6], -1.0, 1.0);
+    let (out, counts) = compiled.forward(&x, &mut ExecCtx::new());
+
+    let qa = QuantActivations::quantize(&x, 8);
+    let (mut want, want_counts) = fixed_point_conv(&qa, &FixedWeights::quantize(&shadow, 8), 1, 1);
+    let plane = 6 * 6;
+    for (ch, &b) in bias.as_slice().iter().enumerate() {
+        for v in &mut want.as_mut_slice()[ch * plane..(ch + 1) * plane] {
+            *v += b;
+        }
+    }
+    assert_eq!(out.as_slice(), want.as_slice());
+    assert_eq!(counts, want_counts);
+}

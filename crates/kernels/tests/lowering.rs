@@ -19,7 +19,8 @@ use flight_kernels::shift::{
     ShiftKernel,
 };
 use flight_kernels::{
-    active_path, CompileOptions, IntNetwork, KernelPath, OpCounts, QuantActivations,
+    active_path, cpu_features, CompileOptions, IntNetwork, KernelPath, OpCounts, QuantActivations,
+    LANES,
 };
 use flight_telemetry::{CollectingSink, EventKind, Telemetry};
 use flight_tensor::{uniform, Conv2dGeometry, Tensor, TensorRng};
@@ -206,6 +207,54 @@ fn fixed_counts_follow_one_mac_per_tap_analytically() {
     assert_eq!(counts.int_mults, (taps_per_position * positions) as u64);
     assert_eq!(counts.int_mults, counts.int_adds, "one fused MAC per tap");
     assert_eq!(counts.shifts, 0, "fixed path never shifts");
+}
+
+#[test]
+fn lanes_leave_programs_whose_i32_accumulators_would_wrap() {
+    // Constant inputs whose every interior sum exceeds i32::MAX: one full
+    // lane block must fall back to the i64 scalar path instead of
+    // wrapping, on every lane implementation, for both datapaths.
+    let ones = |dims: &[usize]| Tensor::from_vec(vec![1.0; dims.iter().product()], dims);
+    // Fixed point: 16-bit codes (32767) times nine 16-bit weights
+    // (32767) is ~9.7e9.
+    let fixed_act = QuantActivations::quantize(&ones(&[LANES, 1, 6, 6]), 16);
+    let fixed = FixedWeights::quantize(&ones(&[2, 1, 3, 3]), 16);
+    // Shift-add: 8-bit codes (127) through one tap of 1 and three taps of
+    // 2^24 (shift 24, inside the lane shift range) is ~6.4e9.
+    let shift_act = QuantActivations::quantize(&ones(&[LANES, 1, 6, 6]), 8);
+    let big = 16_777_216.0;
+    let plan = ShiftPlan {
+        filters: vec![FilterPlan {
+            subfilters: vec![SubFilter {
+                coefficients: vec![1.0, big, big, big],
+            }],
+        }],
+        filter_len: 4,
+    };
+    let shift = ShiftKernel::compile(&plan, &[1, 1, 2, 2]);
+
+    let mut paths = vec![KernelPath::Portable];
+    if cpu_features().avx2 {
+        paths.push(KernelPath::Avx2);
+    }
+    for path in paths {
+        let cases = [
+            (
+                "fixed",
+                fixed_point_conv_with_path(&fixed_act, &fixed, 1, 0, path),
+                fixed_point_conv_reference(&fixed_act, &fixed, 1, 0),
+            ),
+            (
+                "shift",
+                shift_add_conv_with_path(&shift_act, &shift, 1, 0, path),
+                shift_add_conv_reference(&shift_act, &shift, 1, 0),
+            ),
+        ];
+        for (datapath, (out, counts), (want, want_counts)) in cases {
+            assert_eq!(out.as_slice(), want.as_slice(), "{datapath} on {path}");
+            assert_eq!(counts, want_counts, "{datapath} on {path}");
+        }
+    }
 }
 
 #[test]

@@ -80,12 +80,17 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
                 .and_then(JsonValue::as_array)
                 .ok_or_else(|| "infer needs an `image` number array".to_string())?;
             let mut image = Vec::with_capacity(arr.len());
-            for v in arr {
-                image.push(
-                    v.as_f64()
-                        .ok_or_else(|| "`image` entries must be numbers".to_string())?
-                        as f32,
-                );
+            for (i, v) in arr.iter().enumerate() {
+                let pixel = v
+                    .as_f64()
+                    .ok_or_else(|| "`image` entries must be numbers".to_string())?
+                    as f32;
+                // An infinite pixel (`1e999`, or `1e39` once cast to f32)
+                // would make the image's quantization scale infinite.
+                if !pixel.is_finite() {
+                    return Err(format!("`image` entry {i} is not a finite f32"));
+                }
+                image.push(pixel);
             }
             Ok(Request::Infer { image })
         }
@@ -160,8 +165,12 @@ mod tests {
             b"{\"op\":\"warp\"}",
             b"{\"op\":\"infer\"}",
             b"{\"op\":\"infer\",\"image\":[\"x\"]}",
+            b"{\"op\":\"infer\",\"image\":[1,1e999]}",
+            b"{\"op\":\"infer\",\"image\":[1,1e39]}",
         ] {
             assert!(parse_request(bad).is_err(), "{bad:?}");
         }
+        let err = parse_request(b"{\"op\":\"infer\",\"image\":[0,1,-1e39]}").unwrap_err();
+        assert!(err.contains("entry 2"), "{err}");
     }
 }
