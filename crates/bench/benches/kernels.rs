@@ -124,7 +124,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     let mut trainer = FlightTrainer::new(&scheme, 1e-3);
     let batches = data.train_batches(16);
     trainer.train_epoch(&mut net, &batches[..1]);
-    let options = CompileOptions::new().fold_batch_norm(true).sequential();
+    let options = CompileOptions::new().fold_batch_norm(true);
     let engine = IntNetwork::compile_with(&mut net, options).expect("network 1 folds");
     let input = data
         .test_batches(8)
@@ -157,35 +157,9 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch_throughput(c: &mut Criterion) {
-    use flight_data::{DatasetKind, Fidelity, SyntheticDataset};
-    use flight_kernels::{CompileOptions, ExecutionPolicy, IntNetwork};
-    use flightnn::configs::NetworkConfig;
-    use flightnn::FlightTrainer;
-
-    let data = SyntheticDataset::preset(DatasetKind::Cifar10Like, Fidelity::Smoke, 5);
-    let scheme = QuantScheme::l1();
-    let mut rng = TensorRng::seed(5);
-    let mut net =
-        NetworkConfig::by_id(1).build(&scheme, &mut rng, data.classes(), data.image_dims(), 0.25);
-    let mut trainer = FlightTrainer::new(&scheme, 1e-3);
-    let batches = data.train_batches(32);
-    trainer.train_epoch(&mut net, &batches[..1]);
-    let options = CompileOptions::new().fold_batch_norm(true);
-    let engine = IntNetwork::compile_with(&mut net, options).expect("network 1 folds");
-    let input = batches.first().expect("train data").input.clone();
-
-    let mut group = c.benchmark_group("batch_throughput");
-    let seq = engine.clone().with_policy(ExecutionPolicy::Sequential);
-    group.bench_function("batch32_sequential", |b| b.iter(|| seq.forward(&input)));
-    let par = engine.with_policy(ExecutionPolicy::Parallel { threads: 0 });
-    group.bench_function("batch32_parallel", |b| b.iter(|| par.forward(&input)));
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_conv_kernels, bench_kernel_lowering, bench_quantizers, bench_training_step, bench_telemetry_overhead, bench_batch_throughput
+    targets = bench_conv_kernels, bench_kernel_lowering, bench_quantizers, bench_training_step, bench_telemetry_overhead
 }
 criterion_main!(benches);

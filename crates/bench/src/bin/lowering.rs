@@ -1,15 +1,15 @@
 //! Kernel-lowering exhibit: interpreted tap loops vs the lowered tap
 //! programs (precomputed offsets, interior/border split) vs the
-//! batch-major SIMD lanes on a CIFAR-scale shift-add layer, plus the
-//! lowered cores under both engine execution policies. Set
+//! batch-major SIMD lanes on a CIFAR-scale shift-add layer. Set
 //! FLIGHT_FIDELITY=smoke|bench|full and (optionally)
 //! FLIGHT_TELEMETRY=stderr|jsonl:<path>. The manifest carries top-level
 //! `parity`, `simd_parity`, `speedup`, and `scalar_vs_simd_speedup`
 //! fields so CI can gate on them: the parity fields are the bitwise
-//! logits-and-counts agreement of every pair measured here, `speedup`
-//! is the dispatched kernel over naive (single thread), and
-//! `scalar_vs_simd_speedup` is the SIMD lane path over the pinned
-//! per-image scalar path on the same lowered program.
+//! logits-and-counts agreement of the lowered kernel (`parity`) and of
+//! every pinned dispatch path (`simd_parity`) with the interpreted
+//! reference, `speedup` is the dispatched kernel over naive (single
+//! thread), and `scalar_vs_simd_speedup` is the SIMD lane path over the
+//! pinned per-image scalar path on the same lowered program.
 
 use std::time::Instant;
 
@@ -17,14 +17,14 @@ use flight_bench::suite::ModelRow;
 use flight_bench::{BenchProfile, BenchRun};
 use flight_data::Fidelity;
 use flight_kernels::{
-    active_path, shift_add_conv, shift_add_conv_reference, shift_add_conv_with_path,
-    CompileOptions, ExecutionPolicy, IntNetwork, KernelPath, QuantActivations, ShiftKernel, LANES,
+    active_path, shift_add_conv, shift_add_conv_reference, shift_add_conv_with_path, KernelPath,
+    QuantActivations, ShiftKernel, LANES,
 };
 use flight_telemetry::json::JsonValue;
 use flight_tensor::{uniform, TensorRng};
 use flightnn::convert::shift_plan;
 use flightnn::layers::QuantConv2d;
-use flightnn::{QuantNet, QuantScheme};
+use flightnn::QuantScheme;
 
 /// CIFAR-scale layer: 32 input planes at 32x32, 32 filters, 3x3, pad 1.
 const CHANNELS: usize = 32;
@@ -57,7 +57,7 @@ fn main() {
     // vs the interpreted reference, bitwise, logits and op counts both.
     let (lo_out, lo_counts) = shift_add_conv(&qa, &kernel, 1, 1);
     let (re_out, re_counts) = shift_add_conv_reference(&qa, &kernel, 1, 1);
-    let kernel_parity = lo_out.as_slice() == re_out.as_slice() && lo_counts == re_counts;
+    let parity = lo_out.as_slice() == re_out.as_slice() && lo_counts == re_counts;
 
     // Parity gate 1b: every pinned dispatch path against the same
     // oracle — AVX2/portable lanes and the per-image scalar path must
@@ -94,36 +94,7 @@ fn main() {
          {scalar_vs_simd:.2}x over scalar"
     );
 
-    // Engine pass: the same lowered cores behind both execution
-    // policies, sharing one geometry-keyed lowering cache per kernel.
-    let mut net = QuantNet::new();
-    let mut nrng = TensorRng::seed(profile.seed.wrapping_add(1));
-    net.push_conv(QuantConv2d::new(&mut nrng, &scheme, 3, 8, 3, 1, 1));
-    net.push_conv(QuantConv2d::new(&mut nrng, &scheme, 8, 8, 3, 1, 1));
-    let engine = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("net compiles");
-    let seq = engine.clone().with_policy(ExecutionPolicy::Sequential);
-    let threads = std::thread::available_parallelism().map_or(2, |c| c.get().max(2));
-    let par = engine.with_policy(ExecutionPolicy::Parallel { threads });
-    let nx = uniform(&mut nrng, &[batch, 3, SIDE, SIDE], -1.0, 1.0);
-
-    // Parity gate 2: sequential vs parallel over the lowered cores.
-    let (sq_out, sq_counts) = seq.forward(&nx);
-    let (pr_out, pr_counts) = par.forward(&nx);
-    let engine_parity = sq_out.as_slice() == pr_out.as_slice() && sq_counts == pr_counts;
-
-    let seq_ips = time(&|| {
-        let _ = seq.forward(&nx);
-    });
-    let par_ips = time(&|| {
-        let _ = par.forward(&nx);
-    });
-    println!("engine: sequential {seq_ips:.1} img/s | parallel({threads}) {par_ips:.1} img/s");
-
-    let parity = kernel_parity && engine_parity;
-    println!(
-        "parity: {parity} (kernel {kernel_parity}, engine {engine_parity}, \
-         paths {simd_parity})"
-    );
+    println!("parity: {parity} (paths {simd_parity})");
 
     let row = |label: &str, ips: f64, rel: f64| ModelRow {
         label: label.to_string(),
@@ -134,31 +105,18 @@ fn main() {
         energy_uj: 0.0,
         mean_k: None,
     };
-    let tables = [
-        (
-            "shift_conv".to_string(),
-            vec![
-                row("naive", naive_ips, 1.0),
-                row(
-                    "lowered scalar",
-                    scalar_ips,
-                    scalar_ips / naive_ips.max(1e-9),
-                ),
-                row(&format!("lowered simd [{simd}]"), simd_ips, speedup),
-            ],
-        ),
-        (
-            "engine".to_string(),
-            vec![
-                row("lowered sequential", seq_ips, 1.0),
-                row(
-                    &format!("lowered parallel x{threads}"),
-                    par_ips,
-                    par_ips / seq_ips.max(1e-9),
-                ),
-            ],
-        ),
-    ];
+    let tables = [(
+        "shift_conv".to_string(),
+        vec![
+            row("naive", naive_ips, 1.0),
+            row(
+                "lowered scalar",
+                scalar_ips,
+                scalar_ips / naive_ips.max(1e-9),
+            ),
+            row(&format!("lowered simd [{simd}]"), simd_ips, speedup),
+        ],
+    )];
     run.finish_with(
         Some(&profile),
         &tables,

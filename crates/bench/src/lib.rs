@@ -31,9 +31,7 @@
 pub mod profile;
 pub mod run;
 pub mod suite;
-pub mod usl;
 
 pub use profile::BenchProfile;
 pub use run::BenchRun;
 pub use suite::{run_network_suite, standard_schemes, ModelRow, NATIVE_IMAGE};
-pub use usl::{fit_usl, UslFit};

@@ -48,10 +48,6 @@ pub struct HostEnv {
     /// The kernel dispatch path forwards on this host engage
     /// (`avx2`/`portable`/`scalar`; honors `FLIGHT_FORCE_SCALAR`).
     pub kernel_dispatch: String,
-    /// Worker threads the run actually engaged (exhibits that size a
-    /// pool call [`BenchRun::set_workers`]; `None` = single-threaded or
-    /// not reported).
-    pub workers: Option<usize>,
 }
 
 impl HostEnv {
@@ -62,7 +58,6 @@ impl HostEnv {
             cpu_model: cpu_model(),
             cpu_features: flight_kernels::cpu_features().label(),
             kernel_dispatch: flight_kernels::active_path().name().to_string(),
-            workers: None,
         }
     }
 
@@ -73,13 +68,6 @@ impl HostEnv {
             .field("cpu_model", self.cpu_model.as_str())
             .field("cpu_features", self.cpu_features.as_str())
             .field("kernel_dispatch", self.kernel_dispatch.as_str())
-            .field(
-                "workers",
-                match self.workers {
-                    Some(w) => JsonValue::from(w),
-                    None => JsonValue::Null,
-                },
-            )
             .build()
     }
 }
@@ -121,12 +109,6 @@ impl BenchRun {
             span,
             env: HostEnv::detect(),
         }
-    }
-
-    /// Records the worker count the exhibit actually engaged, for the
-    /// manifest `env` block.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.env.workers = Some(workers);
     }
 
     /// The run's telemetry handle, for threading into
@@ -456,9 +438,8 @@ mod tests {
             cpu_model: "Imaginary CPU @ 3.0GHz".to_string(),
             cpu_features: "avx2,fma,sse4.2".to_string(),
             kernel_dispatch: "avx2".to_string(),
-            workers: Some(4),
         };
-        let text = render_manifest("scaling", None, &[], 0.3, "abc", Some(&env), &[]);
+        let text = render_manifest("serve", None, &[], 0.3, "abc", Some(&env), &[]);
         let v = JsonValue::parse(&text).expect("valid JSON");
         let e = v.get("env").expect("env object");
         assert_eq!(
@@ -477,9 +458,9 @@ mod tests {
             e.get("kernel_dispatch").and_then(JsonValue::as_str),
             Some("avx2")
         );
-        assert_eq!(e.get("workers").and_then(JsonValue::as_f64), Some(4.0));
+        assert_eq!(e.get("workers"), None, "no per-run worker knob");
         // Without an env the field is explicit null, not absent.
-        let bare = render_manifest("scaling", None, &[], 0.3, "abc", None, &[]);
+        let bare = render_manifest("serve", None, &[], 0.3, "abc", None, &[]);
         let v = JsonValue::parse(&bare).expect("valid JSON");
         assert!(matches!(v.get("env"), Some(JsonValue::Null)));
     }
@@ -491,7 +472,6 @@ mod tests {
         assert!(!env.cpu_model.is_empty());
         assert!(!env.cpu_features.is_empty());
         assert!(["avx2", "portable", "scalar"].contains(&env.kernel_dispatch.as_str()));
-        assert_eq!(env.workers, None);
     }
 
     #[test]

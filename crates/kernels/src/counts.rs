@@ -109,8 +109,8 @@ impl std::ops::AddAssign for OpCounts {
     }
 }
 
-/// Counts merge associatively, so per-worker accumulators from the
-/// parallel engine reduce with a plain `.sum()` in any grouping.
+/// Counts merge associatively, so the accumulators of separately
+/// forwarded chunks reduce with a plain `.sum()` in any grouping.
 impl std::iter::Sum for OpCounts {
     fn sum<I: Iterator<Item = OpCounts>>(iter: I) -> OpCounts {
         iter.fold(OpCounts::default(), OpCounts::merged)
@@ -169,7 +169,7 @@ mod tests {
             },
         ];
         let all: OpCounts = parts.iter().copied().sum();
-        // Reduce in a different grouping (as parallel workers would).
+        // Reduce in a different grouping (as per-chunk forwards would).
         let mut regrouped = parts[2].merged(parts[0]);
         regrouped += parts[1];
         assert_eq!(all, regrouped);

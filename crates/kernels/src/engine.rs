@@ -10,24 +10,26 @@
 //!
 //! Compilation is configured through [`CompileOptions`]: batch-norm
 //! folding (the standard deployment transform — folded and unfolded
-//! pipelines produce identical results), a telemetry handle, and an
-//! [`ExecutionPolicy`] selecting sequential or multi-threaded batched
-//! execution. A single [`IntNetwork::forward`] dispatches internally to
-//! the traced/untraced and sequential/parallel paths.
+//! pipelines produce identical results), a telemetry handle, and the
+//! scalar-path pin. A forward walks the batch on the calling thread;
+//! [`IntNetwork::forward`] picks the traced or untraced walk from the
+//! telemetry handle.
 //!
 //! The engine surface is split **request-first**: [`CompiledNet`] is the
 //! immutable, `Send + Sync` compile-time half (the lowered stage list)
 //! and [`ExecCtx`] is the per-call half (scratch arenas + telemetry).
 //! N concurrent callers share one `Arc<CompiledNet>` and bring their own
 //! `ExecCtx` — the shape a long-running inference service needs, and
-//! what makes hot model swap a plain atomic `Arc` publish.
-//! [`IntNetwork`] wraps the pair up for single-owner callers.
+//! what makes hot model swap a plain atomic `Arc` publish. That is also
+//! the way to spread one batch over several cores: split it into
+//! contiguous chunks and forward each on its own thread with its own
+//! `ExecCtx`. [`IntNetwork`] wraps the pair up for single-owner callers.
 //!
 //! Activations are quantized with one scale **per image**, so each
-//! image's integer pipeline is independent of its batchmates. That is
-//! what makes the parallel path bit-identical to the sequential one (and
-//! logits invariant under batch composition): splitting the batch across
-//! workers cannot change any image's quantization grid.
+//! image's integer pipeline is independent of its batchmates: logits
+//! are invariant under batch composition, which is what lets a serving
+//! batcher merge requests and a caller split a batch across threads
+//! without changing any image's quantization grid.
 //!
 //! The compiled network reports aggregate [`OpCounts`], so a single
 //! forward pass measures exactly how many shifts/multiplies/adds the
@@ -41,13 +43,12 @@ use flightnn::layers::{QuantConv2d, QuantLinear};
 use flightnn::net::{NetLayer, QuantNet};
 
 use crate::counts::OpCounts;
-use crate::exec::{forward_parallel, Scratch};
 use crate::fixed::FixedWeights;
 use crate::lower::{conv_core, TapOp};
 use crate::observe::{Null, Profile, StageObserver, Trace};
 use crate::qact::QuantActivations;
 use crate::shift::ShiftKernel;
-use crate::simd::{active_path, KernelPath};
+use crate::simd::{active_path, KernelPath, LaneCtx};
 
 /// How a compiled conv/linear layer multiplies.
 #[derive(Debug, Clone)]
@@ -118,74 +119,29 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// How [`IntNetwork::forward`] walks a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionPolicy {
-    /// One thread, image after image — deterministic stage-by-stage
-    /// tracing (per-stage spans and counters when telemetry is live).
-    Sequential,
-    /// Split the batch into contiguous image chunks on a crossbeam
-    /// scoped-thread pool. `threads == 0` means "use every available
-    /// core" (`std::thread::available_parallelism`). The worker count is
-    /// additionally capped by the batch size, and batches of one image
-    /// fall back to the sequential path.
-    Parallel {
-        /// Upper bound on worker threads; 0 = auto.
-        threads: usize,
-    },
-}
-
-impl Default for ExecutionPolicy {
-    /// Parallel with auto-sized thread count.
-    fn default() -> Self {
-        ExecutionPolicy::Parallel { threads: 0 }
-    }
-}
-
-impl ExecutionPolicy {
-    /// Worker threads this policy engages for a batch of `batch` images
-    /// (1 means "run sequentially").
-    pub fn worker_count(&self, batch: usize) -> usize {
-        match *self {
-            ExecutionPolicy::Sequential => 1,
-            ExecutionPolicy::Parallel { threads } => {
-                let limit = if threads == 0 {
-                    std::thread::available_parallelism()
-                        .map(|p| p.get())
-                        .unwrap_or(1)
-                } else {
-                    threads
-                };
-                limit.min(batch).max(1)
-            }
-        }
-    }
-}
-
 /// Builder for [`IntNetwork::compile_with`]: batch-norm folding, the
-/// telemetry handle, and the execution policy in one place.
+/// telemetry handle, and the scalar-path pin in one place.
 ///
 /// ```
-/// use flight_kernels::{CompileOptions, ExecutionPolicy};
+/// use flight_kernels::CompileOptions;
 /// use flight_telemetry::Telemetry;
 ///
 /// let options = CompileOptions::new()
 ///     .fold_batch_norm(true)
 ///     .telemetry(Telemetry::from_env())
-///     .policy(ExecutionPolicy::Parallel { threads: 4 });
+///     .force_scalar(false);
 /// assert!(options.folds_batch_norm());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CompileOptions {
     fold_batch_norm: bool,
     telemetry: Telemetry,
-    policy: ExecutionPolicy,
     force_scalar: bool,
 }
 
 impl CompileOptions {
-    /// The defaults: no batch-norm folding, null telemetry, parallel
-    /// execution with auto-sized thread count.
+    /// The defaults: no batch-norm folding, null telemetry, the
+    /// detected kernel path.
     pub fn new() -> Self {
         CompileOptions::default()
     }
@@ -203,20 +159,12 @@ impl CompileOptions {
         self
     }
 
-    /// Sets the execution policy.
-    pub fn policy(mut self, policy: ExecutionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Shorthand for `policy(ExecutionPolicy::Parallel { threads })`.
-    pub fn threads(self, threads: usize) -> Self {
-        self.policy(ExecutionPolicy::Parallel { threads })
-    }
-
-    /// Shorthand for `policy(ExecutionPolicy::Sequential)`.
+    /// A no-op kept for source compatibility: every forward already
+    /// walks the batch on the calling thread. To spread a batch over
+    /// several cores, share the [`CompiledNet`] across threads with one
+    /// [`ExecCtx`] each.
     pub fn sequential(self) -> Self {
-        self.policy(ExecutionPolicy::Sequential)
+        self
     }
 
     /// Pins the per-image scalar kernel path, ignoring SIMD detection —
@@ -237,16 +185,16 @@ impl CompileOptions {
 /// The immutable, shareable half of a compiled network: the lowered
 /// stage list and nothing else.
 ///
-/// A `CompiledNet` is `Send + Sync` — it holds no scratch buffers, no
-/// telemetry handle, and no execution policy, so any number of threads
-/// can run [`CompiledNet::forward`] on one instance concurrently, each
-/// with its own [`ExecCtx`]. This is the type a long-running service
+/// A `CompiledNet` is `Send + Sync` — it holds no scratch buffers and
+/// no telemetry handle, so any number of threads can run
+/// [`CompiledNet::forward`] on one instance concurrently, each with its
+/// own [`ExecCtx`]. This is the type a long-running service
 /// shares behind an `Arc`: the serve crate's hot-swap slot publishes an
 /// `Arc<CompiledNet>` and every server worker clones the `Arc` on its
 /// read path.
 ///
-/// [`IntNetwork`] remains the convenient single-owner facade (policy +
-/// telemetry bundled in); it is now a thin wrapper over
+/// [`IntNetwork`] remains the convenient single-owner facade (telemetry
+/// and kernel path bundled in); it is a thin wrapper over
 /// `Arc<CompiledNet>`.
 #[derive(Debug, Clone)]
 pub struct CompiledNet {
@@ -261,6 +209,22 @@ const _: () = {
     assert_send_sync::<CompiledNet>();
     assert_send::<ExecCtx>();
 };
+
+/// Reusable buffers for activation quantization — integer codes plus
+/// one scale per image — and the lane context (dispatch path plus the
+/// batch-blocked SIMD arena). Cleared and refilled by every conv stage,
+/// so the backing allocations grow to the largest activation plane once
+/// and are reused from then on.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Integer activation codes, row-major over the whole batch.
+    pub codes: Vec<i32>,
+    /// One quantization scale per image.
+    pub scales: Vec<f32>,
+    /// Kernel dispatch path plus the lane-major blocked arena the SIMD
+    /// interior reads.
+    pub lanes: LaneCtx,
+}
 
 /// Per-call execution state: the reusable activation-quantization
 /// scratch arenas plus the telemetry handle events of this call are
@@ -339,7 +303,7 @@ impl CompiledNet {
         let path = ctx.kernel_path();
         let (layers, scratch, telemetry) = (&self.layers, &mut ctx.scratch, &ctx.telemetry);
         let out = if telemetry.enabled() {
-            let _forward = Trace::forward_span(telemetry, 1, path);
+            let _forward = Trace::forward_span(telemetry, path);
             walk(
                 layers,
                 input,
@@ -352,33 +316,6 @@ impl CompiledNet {
             walk(layers, input, &mut counts, scratch, &mut Null, true)
         };
         (out, counts)
-    }
-
-    /// Runs the pipeline under `policy`: batches that engage more than
-    /// one worker split across crossbeam scoped threads (each worker
-    /// with its own internal scratch); everything else runs through
-    /// `ctx` on the calling thread. All paths are bit-identical because
-    /// activations quantize with one scale per image.
-    pub fn forward_with(
-        &self,
-        input: &Tensor,
-        policy: ExecutionPolicy,
-        ctx: &mut ExecCtx,
-    ) -> (Tensor, OpCounts) {
-        let batch = input.dims().first().copied().unwrap_or(0);
-        let workers = policy.worker_count(batch);
-        if workers > 1 {
-            let _forward = Trace::forward_span(&ctx.telemetry, workers, ctx.kernel_path());
-            forward_parallel(
-                &self.layers,
-                &ctx.telemetry,
-                input,
-                workers,
-                ctx.kernel_path(),
-            )
-        } else {
-            self.forward(input, ctx)
-        }
     }
 
     /// Runs the pipeline sequentially while filling `sample` with
@@ -417,9 +354,8 @@ impl CompiledNet {
 }
 
 /// A `QuantNet` lowered to integer execution: an `Arc<CompiledNet>`
-/// bundled with a telemetry handle and an [`ExecutionPolicy`] — the
-/// convenient single-owner facade over the [`CompiledNet`]/[`ExecCtx`]
-/// split.
+/// bundled with a telemetry handle and a kernel path — the convenient
+/// single-owner facade over the [`CompiledNet`]/[`ExecCtx`] split.
 ///
 /// # Example
 ///
@@ -444,7 +380,6 @@ impl CompiledNet {
 pub struct IntNetwork {
     net: std::sync::Arc<CompiledNet>,
     telemetry: Telemetry,
-    policy: ExecutionPolicy,
     kernel_path: KernelPath,
 }
 
@@ -461,7 +396,6 @@ impl IntNetwork {
         Ok(IntNetwork {
             net: std::sync::Arc::new(compiled),
             telemetry: options.telemetry,
-            policy: options.policy,
             kernel_path: if options.force_scalar {
                 KernelPath::Scalar
             } else {
@@ -485,16 +419,9 @@ impl IntNetwork {
 
     /// Attaches a telemetry handle (default: the null sink). With a live
     /// sink, [`IntNetwork::forward`] emits a `kernel.forward` span plus
-    /// per-stage spans (sequential) or per-worker spans (parallel).
+    /// per-stage spans.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Replaces the execution policy, keeping the compiled stages — the
-    /// cheap way to compare sequential and parallel runs of one network.
-    pub fn with_policy(mut self, policy: ExecutionPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -507,31 +434,18 @@ impl IntNetwork {
     /// returning the logits and the aggregate integer-op counts of this
     /// pass.
     ///
-    /// Dispatches internally:
-    ///
-    /// * **Parallel** (policy allows it and `n ≥ 2`): the batch is split
-    ///   into contiguous image chunks on a crossbeam scoped-thread pool;
-    ///   per-worker scratch buffers are reused across stages and
-    ///   [`OpCounts`] are reduced associatively. With a live sink the
-    ///   pass is bracketed by a `kernel.forward` span, reports a
-    ///   `kernel.forward.workers` gauge, and each worker `w` emits
-    ///   `kernel.worker.<w>.chunk` spans/counters.
-    /// * **Sequential + traced**: every pipeline stage `i` emits a
-    ///   `kernel.stage.<i>.<kind>` span plus one counter per nonzero
-    ///   [`OpCounts`] field that stage spent. Every activation
-    ///   quantization additionally reports
-    ///   `kernel.qact.<conv|linear|requant>.saturated` / `.quantized`
-    ///   counters (codes at the representable rail vs codes produced),
-    ///   the clamp-rate signal `flightctl health` checks.
-    /// * **Sequential + null sink**: the uninstrumented hot loop, no
-    ///   telemetry branches inside.
-    ///
-    /// Activation scales are per image, so all three paths produce
+    /// With a live sink every pipeline stage `i` emits a
+    /// `kernel.stage.<i>.<kind>` span plus one counter per nonzero
+    /// [`OpCounts`] field that stage spent, and every activation
+    /// quantization reports `kernel.qact.<conv|linear|requant>.saturated`
+    /// / `.quantized` counters (codes at the representable rail vs codes
+    /// produced), the clamp-rate signal `flightctl health` checks. With
+    /// the null sink this is the uninstrumented hot loop; both produce
     /// bit-identical logits and identical op counts.
     pub fn forward(&self, input: &Tensor) -> (Tensor, OpCounts) {
         let mut ctx = ExecCtx::with_telemetry(self.telemetry.clone());
         ctx.set_kernel_path(self.kernel_path);
-        self.net.forward_with(input, self.policy, &mut ctx)
+        self.net.forward(input, &mut ctx)
     }
 
     /// Like [`IntNetwork::forward`], but writes the logits into a
@@ -739,8 +653,8 @@ fn fold_affines(layers: &mut [IntLayer]) {
 /// for the first stage (no upfront clone), accumulating op counts and
 /// quantizing activations through `scratch`. With `attribute`, every
 /// stage is bracketed by the observer's stage hooks; residual branches
-/// and per-image chunk walks pass `false`, so only a network's own
-/// top-level stages are attributed. The walk itself times nothing.
+/// pass `false`, so only a network's own top-level stages are
+/// attributed. The walk itself times nothing.
 pub(crate) fn walk<O: StageObserver>(
     layers: &[IntLayer],
     input: &Tensor,

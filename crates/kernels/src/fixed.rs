@@ -29,7 +29,7 @@ pub struct FixedWeights {
     scale: f32,
     dims: Vec<usize>,
     /// Geometry-keyed lowered programs, shared across clones (and
-    /// therefore across the parallel engine's workers).
+    /// therefore across threads sharing one `CompiledNet`).
     lowered: LoweredCache<FixedWeights>,
 }
 

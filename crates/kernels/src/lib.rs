@@ -16,11 +16,10 @@
 //! * [`engine`] — whole-network integer inference: compile a trained
 //!   `QuantNet` with [`IntNetwork::compile_with`] into a multiplier-free
 //!   deployment pipeline, configured by a [`CompileOptions`] builder
-//!   (batch-norm folding, telemetry, sequential vs parallel
-//!   [`ExecutionPolicy`]). The batched parallel executor splits a batch
-//!   across crossbeam scoped threads with per-worker scratch arenas and
-//!   produces logits bit-identical to the sequential path, because
-//!   activations are quantized with one scale per image.
+//!   (batch-norm folding, telemetry, scalar-path pin). The immutable
+//!   [`CompiledNet`] is shared across threads, each bringing its own
+//!   [`ExecCtx`] scratch; activations are quantized with one scale per
+//!   image, so logits do not depend on how a batch is composed or split.
 //!
 //! Both integer datapaths run **one lowered tap program** (the `lower`
 //! module): the interpreted per-tap loop is compiled once per layer
@@ -39,7 +38,6 @@
 
 pub mod counts;
 pub mod engine;
-mod exec;
 pub mod fixed;
 mod lower;
 mod observe;
@@ -48,7 +46,7 @@ pub mod shift;
 pub mod simd;
 
 pub use counts::OpCounts;
-pub use engine::{CompileOptions, CompiledNet, ExecCtx, ExecutionPolicy, IntNetwork};
+pub use engine::{CompileOptions, CompiledNet, ExecCtx, IntNetwork};
 pub use fixed::{fixed_point_conv, fixed_point_conv_reference, fixed_point_conv_with_path};
 pub use qact::QuantActivations;
 pub use shift::{

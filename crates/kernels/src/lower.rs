@@ -9,7 +9,7 @@
 //!
 //! On first contact with a concrete [`Conv2dGeometry`] a kernel's taps
 //! are lowered into a [`Lowered`] program, cached per geometry and
-//! shared across clones (and so across the parallel engine's workers):
+//! shared across clones (and so across threads sharing one `CompiledNet`):
 //!
 //! * every tap gets a precomputed flat input offset relative to the
 //!   output position's window origin, so the hot loop is a branchless
@@ -93,8 +93,8 @@ pub(crate) trait TapOp: Sized {
     fn cache(&self) -> &LoweredCache<Self>;
 
     /// The lowered program for `geom`, building and caching it on first
-    /// use. Clones share the cache, so the parallel engine lowers each
-    /// layer geometry exactly once.
+    /// use. Clones share the cache, so threads sharing a `CompiledNet`
+    /// lower each layer geometry exactly once.
     fn lowered(&self, geom: &Conv2dGeometry) -> Arc<Lowered<Self>> {
         let mut cache = self.cache().lock().expect("lowering cache poisoned");
         if let Some((_, program)) = cache.iter().find(|(g, _)| g == geom) {
@@ -467,8 +467,8 @@ pub(crate) fn check_core_shapes<K: TapOp>(
 /// and op counts accumulate into `counts`.
 ///
 /// Per-image scales are what make each image's pipeline independent of
-/// its batchmates — the invariant the batched engine's bit-exact
-/// parallel/sequential parity rests on.
+/// its batchmates — the invariant bit-exact batch-split invariance
+/// rests on.
 pub(crate) fn conv_core<K: TapOp>(
     codes: &[i32],
     scales: &[f32],

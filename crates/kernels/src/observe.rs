@@ -61,10 +61,9 @@ pub(crate) struct Trace<'a>(pub(crate) &'a Telemetry);
 
 impl Trace<'_> {
     /// Opens the whole-pass `kernel.forward` span and reports the
-    /// `kernel.forward.workers` and `kernel.dispatch.<path>` gauges.
-    pub(crate) fn forward_span(telemetry: &Telemetry, workers: usize, path: KernelPath) -> Span {
+    /// `kernel.dispatch.<path>` gauge.
+    pub(crate) fn forward_span(telemetry: &Telemetry, path: KernelPath) -> Span {
         let span = telemetry.span("kernel.forward");
-        telemetry.gauge("kernel.forward.workers", workers as f64, "worker");
         if telemetry.enabled() {
             telemetry.gauge(&format!("kernel.dispatch.{}", path.name()), 1.0, "path");
         }

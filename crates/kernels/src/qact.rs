@@ -80,9 +80,10 @@ impl QuantActivations {
     /// `stride = x.len() / n`. Both buffers are cleared and refilled.
     ///
     /// Per-image scales make each image's integer pipeline independent of
-    /// its batchmates, which is what lets the parallel engine split a
-    /// batch across workers and still produce logits bit-identical to the
-    /// sequential path (and to submitting the image alone).
+    /// its batchmates, which is what lets a batch be split into chunks
+    /// (or merged from several requests) and still produce logits
+    /// bit-identical to the whole batch (and to submitting the image
+    /// alone).
     ///
     /// # Panics
     ///

@@ -166,7 +166,7 @@ pub struct ShiftKernel {
     in_channels: usize,
     kernel: usize,
     /// Lowered tap programs, one per geometry, shared across clones (and
-    /// therefore across the parallel engine's workers).
+    /// therefore across threads sharing one `CompiledNet`).
     lowered: LoweredCache<ShiftKernel>,
 }
 

@@ -19,10 +19,10 @@ use flight_kernels::shift::{
     ShiftKernel,
 };
 use flight_kernels::{
-    active_path, cpu_features, CompileOptions, IntNetwork, KernelPath, OpCounts, QuantActivations,
-    LANES,
+    active_path, cpu_features, CompileOptions, ExecCtx, IntNetwork, KernelPath, OpCounts,
+    QuantActivations, LANES,
 };
-use flight_telemetry::{CollectingSink, EventKind, Telemetry};
+use flight_telemetry::{worker_prefix, CollectingSink, EventKind, Telemetry};
 use flight_tensor::{uniform, Conv2dGeometry, Tensor, TensorRng};
 use flightnn::convert::{shift_plan, FilterPlan, ShiftPlan, SubFilter};
 use flightnn::layers::QuantConv2d;
@@ -341,9 +341,7 @@ fn sequential_trace_emits_kernel_lowering_events() {
     let sink = Arc::new(CollectingSink::new());
     let engine = IntNetwork::compile_with(
         &mut tiny_net(11),
-        CompileOptions::new()
-            .telemetry(Telemetry::new(sink.clone()))
-            .sequential(),
+        CompileOptions::new().telemetry(Telemetry::new(sink.clone())),
     )
     .expect("compiles");
     let mut rng = TensorRng::seed(12);
@@ -377,26 +375,34 @@ fn sequential_trace_emits_kernel_lowering_events() {
 
 #[test]
 fn parallel_workers_attribute_lowering_events_through_prefix_sink() {
+    // The serving shape: worker threads share one compiled net, each
+    // with its own ExecCtx emitting through a worker-prefixed handle.
     let sink = Arc::new(CollectingSink::new());
-    let engine = IntNetwork::compile_with(
-        &mut tiny_net(13),
-        CompileOptions::new()
-            .telemetry(Telemetry::new(sink.clone()))
-            .threads(2),
-    )
-    .expect("compiles");
+    let telemetry = Telemetry::new(sink.clone());
+    let engine =
+        IntNetwork::compile_with(&mut tiny_net(13), CompileOptions::new()).expect("compiles");
+    let net = engine.compiled();
     let mut rng = TensorRng::seed(14);
     let x = uniform(&mut rng, &[4, 3, 6, 6], -1.0, 1.0);
-    let _ = engine.forward(&x);
+    std::thread::scope(|scope| {
+        for w in 0..2 {
+            let (net, x) = (&net, &x);
+            let mut ctx = ExecCtx::with_telemetry(telemetry.with_prefix(&worker_prefix(w)));
+            scope.spawn(move || net.forward(x, &mut ctx));
+        }
+    });
 
     let events = sink.events();
     for worker in ["kernel.worker.00.", "kernel.worker.01."] {
-        assert!(
-            events
-                .iter()
-                .any(|e| e.kind == EventKind::SpanEnd
-                    && e.name == format!("{worker}kernel.lowering")),
-            "{worker} emits prefixed lowering spans"
+        let spans = events
+            .iter()
+            .filter(|e| {
+                e.kind == EventKind::SpanEnd && e.name == format!("{worker}kernel.lowering")
+            })
+            .count();
+        assert_eq!(
+            spans, 2,
+            "{worker} emits one prefixed lowering span per conv"
         );
         assert!(
             events.iter().any(|e| e.kind == EventKind::Gauge
@@ -408,13 +414,11 @@ fn parallel_workers_attribute_lowering_events_through_prefix_sink() {
 
 #[test]
 fn force_scalar_compile_option_matches_the_detected_path_bitwise() {
-    let fast = IntNetwork::compile_with(&mut tiny_net(21), CompileOptions::new().sequential())
-        .expect("compiles");
-    let pinned = IntNetwork::compile_with(
-        &mut tiny_net(21),
-        CompileOptions::new().sequential().force_scalar(true),
-    )
-    .expect("compiles");
+    let fast =
+        IntNetwork::compile_with(&mut tiny_net(21), CompileOptions::new()).expect("compiles");
+    let pinned =
+        IntNetwork::compile_with(&mut tiny_net(21), CompileOptions::new().force_scalar(true))
+            .expect("compiles");
     assert_eq!(pinned.kernel_path(), KernelPath::Scalar);
 
     // 9 images: one full lane block plus a remnant image.
@@ -431,9 +435,7 @@ fn traces_record_the_kernel_dispatch_path() {
     let sink = Arc::new(CollectingSink::new());
     let engine = IntNetwork::compile_with(
         &mut tiny_net(23),
-        CompileOptions::new()
-            .telemetry(Telemetry::new(sink.clone()))
-            .sequential(),
+        CompileOptions::new().telemetry(Telemetry::new(sink.clone())),
     )
     .expect("compiles");
     let mut rng = TensorRng::seed(24);
@@ -456,13 +458,11 @@ fn null_sink_emits_nothing_but_computes_the_same() {
     let traced_sink = Arc::new(CollectingSink::new());
     let traced = IntNetwork::compile_with(
         &mut tiny_net(15),
-        CompileOptions::new()
-            .telemetry(Telemetry::new(traced_sink))
-            .sequential(),
+        CompileOptions::new().telemetry(Telemetry::new(traced_sink)),
     )
     .expect("compiles");
-    let silent = IntNetwork::compile_with(&mut tiny_net(15), CompileOptions::new().sequential())
-        .expect("compiles");
+    let silent =
+        IntNetwork::compile_with(&mut tiny_net(15), CompileOptions::new()).expect("compiles");
     let mut rng = TensorRng::seed(16);
     let x = uniform(&mut rng, &[3, 3, 6, 6], -1.0, 1.0);
     let (a, ca): (Tensor, OpCounts) = traced.forward(&x);

@@ -1,18 +1,23 @@
-//! Parallel/sequential parity suite for the batched execution engine.
+//! Batch-split invariance suite for the execution engine.
 //!
-//! The engine quantizes activations with one scale per image, so the
-//! parallel path must be **bit-identical** to the sequential path — same
-//! logits, same [`OpCounts`] — for every batch size and every compiled
-//! datapath (shift-add, fixed-point, float fallback), folded or not.
-//! These tests use small hand-built untrained networks: parity is a
-//! property of the execution engine, not of the weights, and untrained
-//! nets keep the debug-mode test run fast.
+//! The engine quantizes activations with one scale per image, so a
+//! batch must equal its parts: forwarding a batch whole is
+//! **bit-identical** to forwarding contiguous chunks of it in parallel
+//! (one thread and one [`ExecCtx`] per chunk over a shared
+//! [`CompiledNet`]) and stitching the logits back together, and the
+//! chunks' [`OpCounts`] sum to the batch's. The serving batcher relies
+//! on the same invariant when it merges requests into one forward. It
+//! must hold for every batch size and every compiled datapath
+//! (shift-add, fixed-point, float fallback), folded or not. These tests
+//! use small hand-built untrained networks: the invariant is a property
+//! of the execution engine, not of the weights, and untrained nets keep
+//! the debug-mode test run fast.
 
 use std::sync::Arc;
 
-use flight_kernels::{CompileOptions, CompiledNet, ExecCtx, ExecutionPolicy, IntNetwork, OpCounts};
+use flight_kernels::{CompileOptions, CompiledNet, ExecCtx, IntNetwork, OpCounts};
 use flight_nn::layers::{BatchNorm2d, Flatten, GlobalAvgPool, LeakyRelu, MaxPool2d};
-use flight_telemetry::{CollectingSink, EventKind, Telemetry};
+use flight_telemetry::{CollectingSink, Telemetry};
 use flight_tensor::{uniform, Tensor, TensorRng};
 use flightnn::layers::{ActQuant, QuantConv2d, QuantLinear};
 use flightnn::net::QuantResidualBlock;
@@ -65,24 +70,69 @@ fn input_batch(n: usize, seed: u64) -> Tensor {
     )
 }
 
-/// Compiles once, then checks parallel vs sequential bit-exactness at
-/// every batch size in `1..=max_batch`.
+/// Forwards `x` as contiguous chunks of `per` images, each on its own
+/// thread with its own [`ExecCtx`] over the shared `net`, and stitches
+/// the chunk logits back together in batch order. Returns the stitched
+/// logits and the sum of the chunks' op counts.
+fn forward_split(engine: &IntNetwork, x: &Tensor, per: usize) -> (Tensor, OpCounts) {
+    let net = engine.compiled();
+    let n = x.dims()[0];
+    let img_len = x.len() / n;
+    let parts: Vec<(Tensor, OpCounts)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = x
+            .as_slice()
+            .chunks(per * img_len)
+            .map(|chunk| {
+                let net = &net;
+                let mut dims = x.dims().to_vec();
+                dims[0] = chunk.len() / img_len;
+                let chunk = Tensor::from_vec(chunk.to_vec(), &dims);
+                scope.spawn(move || {
+                    let mut ctx = ExecCtx::new();
+                    ctx.set_kernel_path(engine.kernel_path());
+                    net.forward(&chunk, &mut ctx)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("chunk forward panicked"))
+            .collect()
+    });
+    let mut dims = parts[0].0.dims().to_vec();
+    dims[0] = n;
+    let mut logits = Vec::new();
+    let mut counts = OpCounts::default();
+    for (out, c) in parts {
+        logits.extend_from_slice(out.as_slice());
+        counts += c;
+    }
+    (Tensor::from_vec(logits, &dims), counts)
+}
+
+/// Compiles once, then checks at every batch size in `1..=33` that the
+/// whole batch equals its parts bitwise: the four-way contiguous split
+/// (`ceil(n/4)` images per chunk) and the one-image-per-chunk split.
 fn assert_parity(net: &mut QuantNet, fold: bool, label: &str) {
     let engine = IntNetwork::compile_with(net, CompileOptions::new().fold_batch_norm(fold))
         .expect("test network compiles");
-    let seq = engine.clone().with_policy(ExecutionPolicy::Sequential);
-    let par = engine.with_policy(ExecutionPolicy::Parallel { threads: 4 });
     for n in 1..=33usize {
         let x = input_batch(n, 100 + n as u64);
-        let (a, ca) = seq.forward(&x);
-        let (b, cb) = par.forward(&x);
-        assert_eq!(a.dims(), b.dims(), "{label}: dims diverge at batch {n}");
-        assert_eq!(
-            a.as_slice(),
-            b.as_slice(),
-            "{label}: logits diverge at batch {n}"
-        );
-        assert_eq!(ca, cb, "{label}: op counts diverge at batch {n}");
+        let (a, ca) = engine.forward(&x);
+        for per in [n.div_ceil(4), 1] {
+            let (b, cb) = forward_split(&engine, &x, per);
+            assert_eq!(
+                a.dims(),
+                b.dims(),
+                "{label}: dims diverge at batch {n}/{per}"
+            );
+            assert_eq!(
+                a.as_slice(),
+                b.as_slice(),
+                "{label}: logits diverge at batch {n}/{per}"
+            );
+            assert_eq!(ca, cb, "{label}: op counts diverge at batch {n}/{per}");
+        }
     }
 }
 
@@ -121,30 +171,6 @@ fn residual_net_parallel_matches_sequential() {
 }
 
 #[test]
-fn logits_are_invariant_under_batch_composition() {
-    // Per-image activation scales make an image's logits independent of
-    // its batchmates: forwarding a batch equals forwarding each image
-    // alone. (This is the invariant the parallel split relies on.)
-    let mut net = conv_net(&QuantScheme::l2(), 7);
-    let engine = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("compiles");
-    let x = input_batch(5, 77);
-    let (batched, _) = engine.forward(&x);
-    let classes = batched.dims()[1];
-    for i in 0..5 {
-        let img = Tensor::from_vec(
-            x.outer(i).to_vec(),
-            &[1, IMG_DIMS[0], IMG_DIMS[1], IMG_DIMS[2]],
-        );
-        let (solo, _) = engine.forward(&img);
-        assert_eq!(
-            solo.as_slice(),
-            &batched.as_slice()[i * classes..(i + 1) * classes],
-            "image {i} depends on its batchmates"
-        );
-    }
-}
-
-#[test]
 fn forward_into_reuses_or_replaces_the_buffer() {
     let mut net = conv_net(&QuantScheme::l1(), 8);
     let engine = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("compiles");
@@ -162,58 +188,6 @@ fn forward_into_reuses_or_replaces_the_buffer() {
     engine.forward_into(&x, &mut wrong);
     assert_eq!(wrong.dims(), expected.dims());
     assert_eq!(wrong.as_slice(), expected.as_slice());
-}
-
-#[test]
-fn parallel_forward_reports_workers_and_chunks() {
-    let mut net = conv_net(&QuantScheme::l1(), 9);
-    let sink = Arc::new(CollectingSink::new());
-    let engine = IntNetwork::compile_with(
-        &mut net,
-        CompileOptions::new()
-            .telemetry(Telemetry::new(sink.clone()))
-            .threads(3),
-    )
-    .expect("compiles");
-    let x = input_batch(5, 99);
-    let (_, counts) = engine.forward(&x);
-
-    let events = sink.events();
-    let workers = events
-        .iter()
-        .find(|e| e.kind == EventKind::Gauge && e.name == "kernel.forward.workers")
-        .expect("worker-count gauge emitted");
-    assert_eq!(workers.value, 3.0, "batch 5 on 3 threads engages 3 workers");
-    assert!(
-        events
-            .iter()
-            .any(|e| e.kind == EventKind::SpanEnd && e.name == "kernel.forward"),
-        "whole-pass span present"
-    );
-    let chunk_spans = events
-        .iter()
-        .filter(|e| {
-            e.kind == EventKind::SpanEnd
-                && e.name.starts_with("kernel.worker.")
-                && e.name.ends_with(".chunk")
-        })
-        .count();
-    assert_eq!(chunk_spans, 3, "one chunk span per worker");
-    let images: f64 = events
-        .iter()
-        .filter(|e| e.kind == EventKind::Gauge && e.name.ends_with(".chunk.images"))
-        .map(|e| e.value)
-        .sum();
-    assert_eq!(images, 5.0, "chunks cover the whole batch");
-    let worker_shifts: u64 = events
-        .iter()
-        .filter(|e| e.kind == EventKind::Counter && e.name.ends_with(".chunk.shifts"))
-        .map(|e| e.value as u64)
-        .sum();
-    assert_eq!(
-        worker_shifts, counts.shifts,
-        "per-worker shift counters must sum to the aggregate"
-    );
 }
 
 #[test]
@@ -253,7 +227,7 @@ fn compiled_net_matches_int_network_and_both_compile_paths_agree() {
     for (fold, seed) in [(false, 11u64), (true, 12u64)] {
         let facade = IntNetwork::compile_with(
             &mut conv_net(&QuantScheme::l2(), seed),
-            CompileOptions::new().fold_batch_norm(fold).sequential(),
+            CompileOptions::new().fold_batch_norm(fold),
         )
         .expect("compiles");
         let bare =
@@ -273,8 +247,7 @@ fn shared_compiled_net_serves_concurrent_contexts() {
     // a private ExecCtx, all producing the reference logits bit-exactly.
     // A reused warm context must behave like a fresh one.
     let mut net = conv_net(&QuantScheme::l1(), 13);
-    let engine =
-        IntNetwork::compile_with(&mut net, CompileOptions::new().sequential()).expect("compiles");
+    let engine = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("compiles");
     let shared = engine.compiled();
     let inputs: Vec<Tensor> = (0..6).map(|i| input_batch(2, 300 + i)).collect();
     let expected: Vec<Vec<f32>> = inputs
@@ -310,29 +283,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any `CompileOptions` combination must produce the same logits and
-    /// counts as the plain sequential/null reference with matching
-    /// folding — execution policy and telemetry are observability and
-    /// scheduling knobs, never numerics knobs.
+    /// counts as the plain null-sink reference with matching folding —
+    /// the scalar-path pin and telemetry are dispatch and observability
+    /// knobs, never numerics knobs.
     #[test]
     fn random_compile_options_never_change_the_numbers(
         fold in any::<bool>(),
-        sequential in any::<bool>(),
-        threads in 0usize..6,
+        force_scalar in any::<bool>(),
         trace in any::<bool>(),
         n in 1usize..7,
     ) {
         let mut reference_net = conv_net(&QuantScheme::l2(), 42);
         let reference = IntNetwork::compile_with(
             &mut reference_net,
-            CompileOptions::new().fold_batch_norm(fold).sequential(),
+            CompileOptions::new().fold_batch_norm(fold),
         )
         .expect("compiles");
 
-        let policy = if sequential {
-            ExecutionPolicy::Sequential
-        } else {
-            ExecutionPolicy::Parallel { threads }
-        };
         let telemetry = if trace {
             Telemetry::new(Arc::new(CollectingSink::new()))
         } else {
@@ -343,7 +310,7 @@ proptest! {
             &mut net,
             CompileOptions::new()
                 .fold_batch_norm(fold)
-                .policy(policy)
+                .force_scalar(force_scalar)
                 .telemetry(telemetry),
         )
         .expect("compiles");

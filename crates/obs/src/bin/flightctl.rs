@@ -1,4 +1,4 @@
-//! `flightctl` — trace analysis and the perf-regression gate.
+//! `flightctl` — trace analysis, run diffs, and capacity planning.
 //!
 //! ```text
 //! flightctl summarize <trace.jsonl> [--json]
@@ -44,8 +44,8 @@ const USAGE: &str = "usage:
                 [--window <life|1s|10s|60s>] [--idle-exit <secs>]
 
 inputs are JSONL telemetry traces or BENCH_*.manifest.json run manifests
-(diff, and capacity for any manifest carrying a `scaling` block — the
-scaling exhibit's and loadgen's BENCH_serve both qualify).
+(diff, and capacity for any manifest carrying a `scaling` block, such
+as loadgen's BENCH_serve.manifest.json).
 export writes Chrome trace-event JSON for Perfetto / chrome://tracing;
 --format folded takes a saved `flightq profile` snapshot instead and
 writes flamegraph folded stacks (flamegraph.pl / inferno / speedscope).
@@ -426,7 +426,7 @@ fn cmd_capacity(args: &[String]) -> i32 {
         Err(e) => return usage_error(&e),
     };
     let [path] = parsed.positionals() else {
-        return usage_error("capacity takes exactly one scaling-manifest path");
+        return usage_error("capacity takes exactly one manifest path");
     };
     let manifest = match std::fs::read_to_string(path) {
         Ok(text) => text,

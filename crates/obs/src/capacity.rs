@@ -1,8 +1,8 @@
 //! `flightctl capacity` — the serving-capacity planner.
 //!
-//! Consumes the `BENCH_scaling.manifest.json` the `scaling` exhibit
-//! writes (measured QPS + latency percentiles per worker×batch
-//! configuration, plus a USL fit) and answers the operational question
+//! Consumes the `BENCH_serve.manifest.json` loadgen writes (measured
+//! QPS + latency percentiles per server worker×batch configuration, in
+//! its `scaling` block) and answers the operational question
 //! "how many replicas and cores do I need for `--qps N` under
 //! `--p99-ms B`?". The plan also reconciles the measurement against the
 //! analytic accelerator models: for every conv layer of the measured
@@ -43,7 +43,7 @@ pub struct CapacityRequest {
 /// Why a plan could not be produced.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CapacityError {
-    /// The manifest is missing, malformed, or not a scaling manifest.
+    /// The manifest is missing, malformed, or has no `scaling` block.
     Parse(String),
     /// The manifest is fine but no measured configuration satisfies the
     /// request (e.g. every p99 exceeds the bound).
@@ -61,10 +61,10 @@ impl std::fmt::Display for CapacityError {
 
 impl std::error::Error for CapacityError {}
 
-/// One measured sweep configuration, as read back from the manifest.
+/// One measured configuration, as read back from the manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MeasuredConfig {
-    /// Engine worker threads.
+    /// Server worker threads.
     pub workers: usize,
     /// Images per forward call.
     pub batch: usize,
@@ -76,21 +76,6 @@ pub struct MeasuredConfig {
     pub p99_ms: f64,
     /// p99.9, milliseconds.
     pub p999_ms: f64,
-}
-
-/// The USL fit the exhibit recorded.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FitSummary {
-    /// Per-worker throughput at N=1.
-    pub lambda: f64,
-    /// Serial fraction σ.
-    pub sigma: f64,
-    /// Coherency penalty κ.
-    pub kappa: f64,
-    /// Goodness of fit.
-    pub r_squared: f64,
-    /// Worker count where the fitted curve peaks (`None` = no peak).
-    pub peak_workers: Option<f64>,
 }
 
 /// Measured-vs-analytic reconciliation for one conv layer.
@@ -127,20 +112,18 @@ pub struct CapacityPlan {
     pub chosen: MeasuredConfig,
     /// Replicas of the chosen configuration.
     pub replicas: u64,
-    /// Total engine worker cores (`replicas × workers`).
+    /// Total server worker cores (`replicas × workers`).
     pub cores: u64,
     /// Raw capacity of the fleet, images/s (`replicas × qps`).
     pub achieved_qps: f64,
     /// `target / achieved` — stays at or below `headroom` by
     /// construction.
     pub utilization: f64,
-    /// USL fit carried over from the manifest, if present.
-    pub fit: Option<FitSummary>,
     /// Per-layer measured-vs-analytic reconciliation.
     pub layers: Vec<LayerDelta>,
 }
 
-/// Reads a scaling manifest and produces a plan.
+/// Reads a manifest's `scaling` block and produces a plan.
 ///
 /// # Errors
 ///
@@ -161,7 +144,7 @@ pub fn plan_capacity(manifest: &str, req: &CapacityRequest) -> Result<CapacityPl
         .map_err(|e| CapacityError::Parse(format!("manifest is not valid JSON: {e}")))?;
     let scaling = root.get("scaling").ok_or_else(|| {
         CapacityError::Parse(
-            "manifest has no `scaling` block — is this BENCH_scaling.manifest.json?".into(),
+            "manifest has no `scaling` block — is this BENCH_serve.manifest.json?".into(),
         )
     })?;
 
@@ -177,7 +160,6 @@ pub fn plan_capacity(manifest: &str, req: &CapacityRequest) -> Result<CapacityPl
         .to_string();
     let image_dims = parse_dims(scaling.get("image_dims"))?;
     let configs = parse_configs(scaling.get("configs"))?;
-    let fit = scaling.get("fit").and_then(parse_fit);
     let measured_on = root
         .get("env")
         .and_then(|e| e.get("cpu_model"))
@@ -223,7 +205,6 @@ pub fn plan_capacity(manifest: &str, req: &CapacityRequest) -> Result<CapacityPl
         achieved_qps,
         replicas,
         chosen,
-        fit,
         layers,
     })
 }
@@ -270,17 +251,6 @@ fn parse_configs(configs: Option<&JsonValue>) -> Result<Vec<MeasuredConfig>, Cap
         return Err(CapacityError::Parse("`configs` is empty".into()));
     }
     Ok(out)
-}
-
-fn parse_fit(fit: &JsonValue) -> Option<FitSummary> {
-    let num = |k: &str| fit.get(k).and_then(JsonValue::as_f64);
-    Some(FitSummary {
-        lambda: num("lambda")?,
-        sigma: num("sigma")?,
-        kappa: num("kappa")?,
-        r_squared: num("r_squared")?,
-        peak_workers: num("peak_workers"),
-    })
 }
 
 /// The scheme the manifest labels map onto. Labels come from the
@@ -382,16 +352,6 @@ impl CapacityPlan {
             self.achieved_qps,
             self.utilization * 100.0
         ));
-        if let Some(fit) = &self.fit {
-            let peak = match fit.peak_workers {
-                Some(p) => format!(", peak at {p:.1} workers"),
-                None => ", no peak in range".to_string(),
-            };
-            out.push_str(&format!(
-                "  USL fit: lambda {:.1} qps/worker, sigma {:.4}, kappa {:.5}, R^2 {:.4}{peak}\n",
-                fit.lambda, fit.sigma, fit.kappa, fit.r_squared
-            ));
-        }
         out.push_str("  layers (analytic ZC706 / 65nm vs measured engine):\n");
         out.push_str(&format!(
             "    {:<3} {:<28} {:>14} {:>12} {:>14}\n",
@@ -410,16 +370,6 @@ impl CapacityPlan {
     pub fn render_json(&self) -> String {
         let opt = |v: Option<f64>| match v {
             Some(x) => JsonValue::from(x),
-            None => JsonValue::Null,
-        };
-        let fit = match &self.fit {
-            Some(f) => JsonObject::new()
-                .field("lambda", f.lambda)
-                .field("sigma", f.sigma)
-                .field("kappa", f.kappa)
-                .field("r_squared", f.r_squared)
-                .field("peak_workers", opt(f.peak_workers))
-                .build(),
             None => JsonValue::Null,
         };
         let layers: Vec<JsonValue> = self
@@ -463,7 +413,6 @@ impl CapacityPlan {
             .field("cores", self.cores)
             .field("achieved_qps", self.achieved_qps)
             .field("utilization", self.utilization)
-            .field("fit", fit)
             .field("layers", layers)
             .build()
             .render()
@@ -478,8 +427,8 @@ mod tests {
         format!(
             r#"{{
   "schema_version": 2,
-  "exhibit": "scaling",
-  "env": {{"logical_cores": 8, "cpu_model": "Test CPU", "workers": 2}},
+  "exhibit": "serve",
+  "env": {{"logical_cores": 8, "cpu_model": "Test CPU"}},
   "scaling": {{
     "network": 1,
     "scheme": "l1",
@@ -493,9 +442,7 @@ mod tests {
       {{"workers": 2, "batch": 32, "qps": 180.0, "samples": 96,
         "latency_ms": {{"min": 80.0, "p50": 150.0, "p90": 170.0, "p95": 172.0,
                         "p99": {p99_w2}, "p999": 176.0, "max": 177.0}}}}
-    ],
-    "fit": {{"lambda": 100.0, "sigma": 0.1, "kappa": 0.005,
-             "r_squared": 0.999, "peak_workers": 13.4}}
+    ]
   }}
 }}"#
         )
@@ -520,8 +467,6 @@ mod tests {
         assert!(plan.achieved_qps >= 50_000.0);
         assert!(plan.utilization <= DEFAULT_HEADROOM + 1e-9);
         assert_eq!(plan.measured_on.as_deref(), Some("Test CPU"));
-        let fit = plan.fit.expect("fit carried over");
-        assert_eq!(fit.peak_workers, Some(13.4));
     }
 
     #[test]
@@ -569,7 +514,6 @@ mod tests {
         // Human rendering mentions the same numbers.
         let text = plan.render();
         assert!(text.contains("348 replica(s)"), "{text}");
-        assert!(text.contains("USL fit"), "{text}");
     }
 
     #[test]

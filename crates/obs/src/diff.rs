@@ -3,7 +3,7 @@
 //! Both sides can be either a JSONL trace or a `BENCH_*.manifest.json`
 //! run manifest; each is flattened into named scalar metrics and the
 //! pairs are compared under a configurable relative tolerance. The exit
-//! code is the contract CI relies on: `0` within tolerance, `1` on any
+//! code is the contract scripts rely on: `0` within tolerance, `1` on any
 //! regression (including a metric the baseline has but the candidate
 //! lost), `2` on usage or I/O errors.
 //!
@@ -16,8 +16,8 @@
 //!   `span.<name>.total_s` (summed span seconds); aggregated traces
 //!   contribute through their final snapshot per name.
 //!
-//! Because throughput-style metrics are machine-dependent, CI gates
-//! filter with `--metrics <prefix,...>` down to the stable subset
+//! Because throughput-style metrics are machine-dependent, a gate
+//! should filter with `--metrics <prefix,...>` down to the stable subset
 //! (`parity`, `schema_version`, accuracies) rather than gating a
 //! laptop's wall clock against a runner's.
 

@@ -16,8 +16,8 @@
 //! * **Worker attribution** reuses the `kernel.worker.<ww>.` name
 //!   convention ([`flight_telemetry::parse_worker`]): every worker gets
 //!   its own thread track (`tid = w + 1`, named `worker <ww>`) and its
-//!   events shed the prefix, so track `worker 03` shows plain `chunk`
-//!   spans. Everything else lands on the `main` track (`tid = 0`).
+//!   events shed the prefix, so track `worker 03` shows plain
+//!   `kernel.forward` spans. Everything else lands on the `main` track (`tid = 0`).
 //! * **Request attribution** does the same for the serving plane's
 //!   `serve.request.<id>.` convention
 //!   ([`flight_telemetry::parse_request_track`]): each request id seen

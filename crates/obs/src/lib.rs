@@ -11,12 +11,10 @@
 //!   threshold trajectories ([`summarize`]).
 //! * `flightctl diff <baseline> <candidate>` — flatten two traces or
 //!   manifests into named metrics and compare under a relative
-//!   tolerance; nonzero exit on regression, which is the CI perf gate
-//!   ([`diff`]).
-//! * `flightctl capacity <manifest> --qps N` — turn the scaling
-//!   exhibit's measured curves into a replica/core sizing under a p99
-//!   bound, reconciled against the analytic accelerator models
-//!   ([`capacity`]).
+//!   tolerance; nonzero exit on regression ([`diff`]).
+//! * `flightctl capacity <manifest> --qps N` — turn loadgen's measured
+//!   serve manifest into a replica/core sizing under a p99 bound,
+//!   reconciled against the analytic accelerator models ([`capacity`]).
 //! * `flightctl health <trace>` — drift/saturation/clamp-rate and
 //!   training-dynamics (gradient-norm, L_reg-stagnation) checks over
 //!   the training signals ([`health`]).

@@ -1,5 +1,5 @@
 //! End-to-end tests of `flightctl capacity`: spawn the real binary
-//! against a scaling manifest on disk and check output and exit codes.
+//! against a serve manifest on disk and check output and exit codes.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -9,8 +9,8 @@ use flight_telemetry::json::JsonValue;
 fn manifest_text() -> &'static str {
     r#"{
   "schema_version": 2,
-  "exhibit": "scaling",
-  "env": {"logical_cores": 4, "cpu_model": "CLI Test CPU", "workers": 2},
+  "exhibit": "serve",
+  "env": {"logical_cores": 4, "cpu_model": "CLI Test CPU"},
   "scaling": {
     "network": 1,
     "scheme": "l1",
@@ -24,9 +24,7 @@ fn manifest_text() -> &'static str {
       {"workers": 2, "batch": 32, "qps": 180.0, "samples": 96,
        "latency_ms": {"min": 80.0, "p50": 150.0, "p90": 170.0, "p95": 172.0,
                       "p99": 174.0, "p999": 176.0, "max": 177.0}}
-    ],
-    "fit": {"lambda": 100.0, "sigma": 0.1, "kappa": 0.005,
-            "r_squared": 0.999, "peak_workers": 13.4}
+    ]
   }
 }"#
 }

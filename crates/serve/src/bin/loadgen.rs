@@ -230,8 +230,7 @@ fn run() -> i32 {
         }
     };
 
-    let mut run = BenchRun::start("serve");
-    run.set_workers(knobs.workers);
+    let run = BenchRun::start("serve");
 
     // An in-process server unless the caller pointed us at one.
     let mut local = None;

@@ -21,8 +21,8 @@
 //!   dropped (the end event carries the duration).
 //! * `histogram` — already an aggregate: the latest histogram per name
 //!   is kept and re-emitted verbatim with each snapshot flush.
-//! * `log2hist` — each event is one shard of a distribution (the
-//!   parallel engine emits a fresh per-chunk histogram per forward), so
+//! * `log2hist` — each event is one shard of a distribution (a
+//!   producer may emit a fresh per-worker histogram per run), so
 //!   shards *merge* per name — bucket counts sum, min/max fold — and the
 //!   flush emits the whole-run distribution, not the latest shard.
 //! * `manifest` and nested `snapshot` events pass through immediately.

@@ -1,7 +1,7 @@
 //! Mergeable log2-bucketed latency histograms.
 //!
-//! The parallel engine wants per-image latency percentiles without
-//! keeping every sample: each worker records into its own
+//! The server wants per-request latency percentiles without keeping
+//! every sample: each worker (or client) records into its own
 //! [`Log2Histogram`] shard and the shards [`merge`](Log2Histogram::merge)
 //! into a whole-run distribution. Buckets are geometric with
 //! [`SUB_BUCKETS_PER_OCTAVE`] sub-buckets per power of two (HDR-style),

@@ -49,11 +49,11 @@ impl TelemetrySink for StderrSink {
 /// inner sink.
 ///
 /// This is how concurrent producers attribute their streams without
-/// threading names through every emit call: the integer engine hands
-/// each worker a handle built with
+/// threading names through every emit call: a server hands each worker
+/// an execution context whose handle is built with
 /// [`Telemetry::with_prefix`](crate::Telemetry::with_prefix), so a
-/// worker's `chunk` span reaches the sink as
-/// `kernel.worker.<w>.chunk`. Sequence numbers, span ids, and
+/// worker's `kernel.forward` span reaches the sink as
+/// `kernel.worker.<w>.kernel.forward`. Sequence numbers, span ids, and
 /// timestamps are untouched — only `name` changes.
 pub struct PrefixSink {
     prefix: String,

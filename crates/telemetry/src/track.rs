@@ -1,11 +1,11 @@
 //! The worker-track naming convention.
 //!
 //! Parallel producers attribute their event streams by name prefix (see
-//! [`PrefixSink`](crate::PrefixSink)): worker `w` of the integer engine
-//! emits under `kernel.worker.<ww>.`, so its plain `chunk` span reaches
-//! the trace as `kernel.worker.03.chunk`. This module is the single
-//! definition of that convention — the write side
-//! ([`worker_prefix`], used by flight-kernels when it forks workers)
+//! [`PrefixSink`](crate::PrefixSink)): worker `w` of a server emits
+//! under `kernel.worker.<ww>.`, so its plain `kernel.lowering` span
+//! reaches the trace as `kernel.worker.03.kernel.lowering`. This module
+//! is the single definition of that convention — the write side
+//! ([`worker_prefix`], used by flight-serve when it starts workers)
 //! and the read side ([`parse_worker`], used by `flightctl export` to
 //! assign each event to a per-worker timeline track) must never drift
 //! apart.
