@@ -56,7 +56,7 @@ fn bench_kernel_lowering(c: &mut Criterion) {
     // CIFAR-scale shift layer, interpreted tap loop vs lowered tap
     // program vs the batch-major SIMD lanes — the timing counterpart of
     // the `lowering` exhibit bin's single-thread speedup fields. One
-    // full lane block (8 images) so the vectorized interior engages.
+    // full lane block (8 images) so the SIMD lanes engage.
     let mut rng = TensorRng::seed(9);
     let x = uniform(&mut rng, &[LANES, 32, 32, 32], -1.0, 1.0);
     let qa = QuantActivations::quantize(&x, 8);

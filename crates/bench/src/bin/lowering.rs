@@ -1,5 +1,5 @@
 //! Kernel-lowering exhibit: interpreted tap loops vs the lowered tap
-//! programs (precomputed offsets, interior/border split) vs the
+//! programs (precomputed offsets into a zero-padded input) vs the
 //! batch-major SIMD lanes on a CIFAR-scale shift-add layer. Set
 //! FLIGHT_FIDELITY=smoke|bench|full and (optionally)
 //! FLIGHT_TELEMETRY=stderr|jsonl:<path>. The manifest carries top-level
@@ -35,7 +35,7 @@ fn main() {
     let run = BenchRun::start("lowering");
     let profile = BenchProfile::from_env();
     let smoke = profile.fidelity == Fidelity::Smoke;
-    // Smoke still fills one SIMD lane block, so the vectorized interior
+    // Smoke still fills one SIMD lane block, so the SIMD lane path
     // is exercised (and gated) at every fidelity.
     let batch = if smoke { LANES } else { 16 };
     let reps = if smoke { 3 } else { 10 };

@@ -11,9 +11,10 @@ use serde::{Deserialize, Serialize};
 ///
 /// # Counting conventions
 ///
-/// Counts charge only **executed** taps — a tap clipped away by padding
-/// costs nothing, so border positions are cheaper than interior ones.
-/// Per output position and filter with `t` executed taps:
+/// Counts charge only **in-bounds** taps — a tap whose input lies in
+/// the padding costs nothing (the lowered kernels run it on a zero, the
+/// reference cores skip it), so edge positions are cheaper than interior
+/// ones. Per output position and filter with `t` in-bounds taps:
 ///
 /// * **shift-add datapath** (`shifts`/`int_adds`): `t` shifts and
 ///   `t − 1` adds — the paper's §3 cost model (`k` shifts, `k − 1`
@@ -24,8 +25,9 @@ use serde::{Deserialize, Serialize};
 ///   and `t` accumulates — a fused MAC per tap, so the two fields are
 ///   always equal for this path.
 ///
-/// The lowered kernels precompute these totals per geometry (interior
-/// analytically, border by dry run) and must stay bit-identical to the
+/// The lowered kernels precompute these totals per geometry in closed
+/// form (output rows and columns grouped by which kernel rows and
+/// columns land in bounds) and must stay bit-identical to the
 /// interpreted reference cores, which count inside the loop; the parity
 /// tests in `crates/kernels/tests/lowering.rs` pin both conventions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]

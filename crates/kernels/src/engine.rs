@@ -221,8 +221,8 @@ pub(crate) struct Scratch {
     pub codes: Vec<i32>,
     /// One quantization scale per image.
     pub scales: Vec<f32>,
-    /// Kernel dispatch path plus the lane-major blocked arena the SIMD
-    /// interior reads.
+    /// Kernel dispatch path plus the zero-padded buffers the lowered
+    /// conv reads.
     pub lanes: LaneCtx,
 }
 

@@ -25,9 +25,9 @@
 //! module): the interpreted per-tap loop is compiled once per layer
 //! geometry into precomputed flat input offsets plus per-tap codes
 //! (shift/sign packed into one `u32` for the shift path, the weight for
-//! the fixed path), the output map is split into a branchless interior
-//! and a checked border, and op accounting is hoisted out of the loops
-//! entirely. Each datapath supplies only its tap operation. The
+//! the fixed path) into a zero-padded input, so one branchless loop
+//! covers every output position, and op accounting is hoisted out of
+//! the loops entirely. Each datapath supplies only its tap operation. The
 //! interpreted loops are retained as
 //! [`shift_add_conv_reference`] / [`fixed_point_conv_reference`] — the
 //! parity oracles (bit-identical logits *and* counts, enforced by

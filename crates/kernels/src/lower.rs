@@ -11,21 +11,16 @@
 //! are lowered into a [`Lowered`] program, cached per geometry and
 //! shared across clones (and so across threads sharing one `CompiledNet`):
 //!
-//! * every tap gets a precomputed flat input offset relative to the
-//!   output position's window origin, so the hot loop is a branchless
-//!   load → tap term → accumulate with no index arithmetic;
-//! * the output map splits by *where the receptive field lands*: the
-//!   **interior** — positions whose full `k × k` window is inside the
-//!   input, so no tap can be clipped by padding and the inner loop needs
-//!   no bounds checks — and the thin **border** frame that keeps the
-//!   checked path. The split depends only on the geometry, not on the
-//!   tap pattern (a conservative rectangle: a border position may still
-//!   have every tap in bounds);
-//! * op accounting is hoisted out of the loops: interior counts are
-//!   analytic (`taps × positions`), border counts come from a one-time
-//!   per-geometry dry run, and the datapath's [`TapOp::tally`] convention
-//!   prices both, so [`OpCounts`] stays bit-identical to the interpreted
-//!   reference cores;
+//! * every tap gets a precomputed flat offset into the **zero-padded**
+//!   input ([`PaddedLayout`]) relative to the output position's window
+//!   origin. Every window is then in bounds, so one branchless loop —
+//!   load → tap term → accumulate, no index arithmetic — covers the
+//!   whole output map; padding taps add zero on both datapaths;
+//! * op accounting is hoisted out of the loops: padding taps must not
+//!   be counted, and [`image_tally`] prices the in-bounds taps in closed
+//!   form with the datapath's [`TapOp::tally`] convention, so
+//!   [`OpCounts`] stays bit-identical to the interpreted reference
+//!   cores;
 //! * the i32 no-wrap lane bound is computed once, from the datapath's
 //!   per-tap [`TapOp::lane_weight`], and [`Lowered::lane_path`] is the
 //!   single place that decides whether a call may take the SIMD lanes.
@@ -45,7 +40,7 @@ use flight_tensor::{Conv2dGeometry, Tensor};
 
 use crate::counts::OpCounts;
 use crate::qact::QuantActivations;
-use crate::simd::{pack_lane_block, run_rect, BlockGeom, KernelPath, LaneCtx, LANES};
+use crate::simd::{pack_lane_block, pad_image, run_rect, KernelPath, LaneCtx, PaddedLayout, LANES};
 
 /// One integer conv datapath: the per-tap arithmetic that differs
 /// between shift-add and fixed-point, plus the compiled kernel's shape.
@@ -74,8 +69,8 @@ pub(crate) trait TapOp: Sized {
     /// run in `i32` lanes.
     fn lane_weight(code: Self::Code) -> Option<u64>;
 
-    /// What one filter costs at one output position where `t` taps
-    /// executed (see [`OpCounts`] for both conventions).
+    /// What one filter costs at one output position where `t` taps land
+    /// in bounds (see [`OpCounts`] for both conventions).
     fn tally(t: u64) -> OpCounts;
 
     /// `(filters, in_channels, kernel side)`.
@@ -110,14 +105,10 @@ pub(crate) trait TapOp: Sized {
 /// per layer, so the list stays tiny; linear lookup beats hashing.
 pub(crate) type LoweredCache<K> = Arc<Mutex<Vec<(Conv2dGeometry, Arc<Lowered<K>>)>>>;
 
-/// How a kernel decomposes one output geometry — surfaced to telemetry
+/// The shape of a lowered tap program — surfaced to telemetry
 /// (`kernel.lowering.*` gauges) and the lowering bench exhibit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoweringStats {
-    /// Output positions on the branchless interior path.
-    pub interior_positions: usize,
-    /// Output positions on the checked border path.
-    pub border_positions: usize,
     /// Total taps across all filters (shift taps, or the dense
     /// `f · c · k · k` fixed-point taps).
     pub total_taps: usize,
@@ -136,106 +127,66 @@ impl LoweringStats {
     }
 }
 
-/// One tap on the checked border path: channel plane base plus the tap's
-/// kernel-window deltas (the position loop folds padding into its window
-/// origin).
-#[derive(Debug, Clone, Copy)]
-struct BorderTap {
-    /// `ch · h · w` — flat base of the tap's input channel plane.
-    plane: u32,
-    /// Kernel row `ki`.
-    di: i32,
-    /// Kernel column `kj`.
-    dj: i32,
-}
-
 /// A kernel lowered against one concrete [`Conv2dGeometry`]: per-tap
-/// interior offsets and border decodings, the op totals hoisted out of
-/// the runtime loops, and the lane bound.
+/// offsets into the zero-padded input, the op totals hoisted out of the
+/// runtime loops, and the lane bound.
 #[derive(Debug)]
 pub(crate) struct Lowered<K: TapOp> {
-    rect: InteriorRect,
     /// Filter `f`'s taps are `bounds[f] as usize..bounds[f + 1] as usize`.
     bounds: Vec<u32>,
-    /// Per tap: flat input offset relative to the output position's
-    /// window origin (`ch·h·w + ki·w + kj`).
+    /// Per tap: flat offset into the zero-padded input relative to the
+    /// output position's window origin (`ch·ph·pw + ki·pw + kj`, see
+    /// [`PaddedLayout`]).
     offsets: Vec<u32>,
     /// Per tap: the datapath's code (parallel to `offsets`).
     codes: Vec<K::Code>,
-    /// Per tap: checked-path decoding (parallel to `offsets`).
-    border: Vec<BorderTap>,
-    /// Ops one image costs (interior analytic + border dry run).
+    /// Ops one image costs ([`image_tally`]).
     per_image: OpCounts,
-    border_positions: usize,
     /// Worst-case per-filter magnitude multiplier `max_f Σ_taps
-    /// lane_weight`: an interior accumulator is bounded by
-    /// `max |code| · lane_weight`, which must fit i32 for the lane path
-    /// to match the scalar i64 accumulation bit-for-bit (every partial
-    /// term is bounded by it too). `None` when a tap refuses lanes.
+    /// lane_weight`: an accumulator is bounded by `max |code| ·
+    /// lane_weight` (padding codes are zero), which must fit i32 for the
+    /// lane path to match the scalar i64 accumulation bit-for-bit (every
+    /// partial term is bounded by it too). `None` when a tap refuses
+    /// lanes.
     lane_weight: Option<u64>,
 }
 
 impl<K: TapOp> Lowered<K> {
     fn build(kernel: &K, geom: &Conv2dGeometry) -> Self {
-        let (h, w, k) = (geom.in_h, geom.in_w, geom.kernel);
+        let layout = PaddedLayout { geom: *geom };
         assert!(
-            geom.in_channels * h * w <= u32::MAX as usize,
-            "input volume too large for lowered offsets"
+            layout.volume() <= u32::MAX as usize,
+            "padded input volume too large for lowered offsets"
         );
-        let rect = interior_rect(geom);
+        let k = geom.kernel;
         let (filters, _, _) = kernel.shape();
 
         let mut bounds = vec![0u32];
-        let (mut offsets, mut codes, mut border) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut offsets, mut codes, mut kernel_ij) = (Vec::new(), Vec::new(), Vec::new());
         for fi in 0..filters {
             for (off, code) in kernel.filter_taps(fi) {
                 let (ch, ki, kj) = (off / (k * k), (off / k) % k, off % k);
-                offsets.push((ch * h * w + ki * w + kj) as u32);
+                offsets.push(layout.offset(ch, ki, kj) as u32);
                 codes.push(code);
-                border.push(BorderTap {
-                    plane: (ch * h * w) as u32,
-                    di: ki as i32,
-                    dj: kj as i32,
-                });
+                kernel_ij.push((ki, kj));
             }
             bounds.push(offsets.len() as u32);
         }
-        let taps = |fi: usize| bounds[fi] as usize..bounds[fi + 1] as usize;
-
-        // Interior accounting is analytic (every tap executes at every
-        // interior position); the lane bound is the worst filter's sum.
-        let mut per_image = OpCounts::default();
+        // The lane bound is the worst filter's sum.
         let mut lane_weight = Some(0u64);
-        for fi in 0..filters {
-            per_image += K::tally(taps(fi).len() as u64).times(rect.positions() as u64);
-            let filter_weight = codes[taps(fi)].iter().try_fold(0u64, |sum, &code| {
+        for taps in bounds.windows(2) {
+            let filter_codes = &codes[taps[0] as usize..taps[1] as usize];
+            let filter_weight = filter_codes.iter().try_fold(0u64, |sum, &code| {
                 Some(sum.saturating_add(K::lane_weight(code)?))
             });
             lane_weight = lane_weight.zip(filter_weight).map(|(a, b)| a.max(b));
         }
 
-        // Border accounting is a one-time dry run of the checked path.
-        let mut border_positions = 0usize;
-        for_each_border_position(geom, &rect, |oi, oj| {
-            border_positions += 1;
-            let (ii0, jj0) = window_origin(geom, oi, oj);
-            for fi in 0..filters {
-                let executed = border[taps(fi)]
-                    .iter()
-                    .filter(|bt| in_bounds(geom, ii0 + bt.di, jj0 + bt.dj))
-                    .count();
-                per_image += K::tally(executed as u64);
-            }
-        });
-
         Lowered {
-            rect,
+            per_image: image_tally::<K>(geom, &bounds, &kernel_ij),
             bounds,
             offsets,
             codes,
-            border,
-            per_image,
-            border_positions,
             lane_weight,
         }
     }
@@ -244,25 +195,23 @@ impl<K: TapOp> Lowered<K> {
         self.bounds[fi] as usize..self.bounds[fi + 1] as usize
     }
 
-    /// The interior/border decomposition of this program.
+    /// The shape of this program.
     pub(crate) fn stats(&self) -> LoweringStats {
         LoweringStats {
-            interior_positions: self.rect.positions(),
-            border_positions: self.border_positions,
             total_taps: self.offsets.len(),
             filters: self.bounds.len() - 1,
         }
     }
 
     /// The path this call actually runs: the requested lane path only
-    /// when the batch fills at least one lane block, the interior is
-    /// nonempty, and i32 lane accumulation provably cannot wrap (see
-    /// the `lane_weight` field docs); [`KernelPath::Scalar`] otherwise.
+    /// when the batch fills at least one lane block and i32 lane
+    /// accumulation provably cannot wrap (see the `lane_weight` field
+    /// docs); [`KernelPath::Scalar`] otherwise.
     pub(crate) fn lane_path(&self, requested: KernelPath, codes: &[i32], n: usize) -> KernelPath {
         let Some(lane_weight) = self.lane_weight else {
             return KernelPath::Scalar;
         };
-        if requested == KernelPath::Scalar || n < LANES || self.rect.positions() == 0 {
+        if requested == KernelPath::Scalar || n < LANES {
             return KernelPath::Scalar;
         }
         let max_abs = codes
@@ -276,11 +225,11 @@ impl<K: TapOp> Lowered<K> {
         requested
     }
 
-    /// Executes the program: lane-blocked SIMD interior where eligible
-    /// (full blocks of [`LANES`] images), scalar interior otherwise,
-    /// checked scalar border always. Writes outputs only — op accounting
-    /// lives in the precomputed per-image totals, which are
-    /// dispatch-invariant.
+    /// Executes the program over every output position: SIMD lanes over
+    /// the padded arena for full blocks of [`LANES`] images where
+    /// eligible, the scalar path over each remaining image's padded
+    /// plane otherwise. Writes outputs only — op accounting lives in the
+    /// precomputed per-image totals, which are dispatch-invariant.
     fn run(
         &self,
         weight_scale: f32,
@@ -297,141 +246,120 @@ impl<K: TapOp> Lowered<K> {
         } else {
             n - n % LANES
         };
+        let layout = PaddedLayout { geom: *geom };
+        let chw = geom.in_channels * geom.in_h * geom.in_w;
+        let f = self.bounds.len() - 1;
+        let positions = geom.out_positions();
 
-        if lane_images > 0 {
-            let chw = geom.in_channels * geom.in_h * geom.in_w;
-            let f = self.bounds.len() - 1;
-            let img_stride = f * geom.out_h * geom.out_w;
-            let g = BlockGeom {
-                rect: self.rect,
-                stride: geom.stride,
-                padding: geom.padding,
-                in_w: geom.in_w,
-                out_w: geom.out_w,
-            };
-            for b0 in (0..lane_images).step_by(LANES) {
-                pack_lane_block(
-                    &codes_in[b0 * chw..(b0 + LANES) * chw],
-                    chw,
-                    &mut lanes.block,
-                );
-                let mut out_scales = [0f32; LANES];
-                for (l, slot) in out_scales.iter_mut().enumerate() {
-                    *slot = scales[b0 + l] * weight_scale;
-                }
-                for fi in 0..f {
-                    run_rect::<K>(
-                        path,
-                        &lanes.block,
-                        &self.offsets[self.filter(fi)],
-                        &self.codes[self.filter(fi)],
-                        &g,
-                        out,
-                        (b0 * f + fi) * geom.out_h * geom.out_w,
-                        img_stride,
-                        &out_scales,
-                    );
-                }
-            }
-            // The border ring of the lane-covered images stays scalar.
-            self.run_scalar(
-                weight_scale,
-                codes_in,
-                scales,
-                geom,
-                out,
-                0..lane_images,
-                false,
+        for b0 in (0..lane_images).step_by(LANES) {
+            pack_lane_block(
+                &codes_in[b0 * chw..(b0 + LANES) * chw],
+                &layout,
+                &mut lanes.block,
             );
+            let mut out_scales = [0f32; LANES];
+            for (l, slot) in out_scales.iter_mut().enumerate() {
+                *slot = scales[b0 + l] * weight_scale;
+            }
+            for fi in 0..f {
+                run_rect::<K>(
+                    path,
+                    &lanes.block,
+                    &self.offsets[self.filter(fi)],
+                    &self.codes[self.filter(fi)],
+                    &layout,
+                    out,
+                    (b0 * f + fi) * positions,
+                    f * positions,
+                    &out_scales,
+                );
+            }
         }
 
         // Remnant images (or the whole batch when the lane path is off)
         // run the per-image scalar path, so any batch size produces the
         // same bits as solo inference.
-        self.run_scalar(
-            weight_scale,
-            codes_in,
-            scales,
-            geom,
-            out,
-            lane_images..n,
-            true,
-        );
+        for b in lane_images..n {
+            pad_image(&codes_in[b * chw..(b + 1) * chw], &layout, &mut lanes.plane);
+            let out_scale = scales[b] * weight_scale;
+            let out_img = &mut out[b * f * positions..(b + 1) * f * positions];
+            self.run_scalar(&lanes.plane, &layout, out_img, out_scale);
+        }
     }
 
-    /// The per-image scalar path over a range of images: i64-accumulated
-    /// interior (when `include_interior`) plus the checked border.
-    #[allow(clippy::too_many_arguments)]
-    fn run_scalar(
-        &self,
-        weight_scale: f32,
-        codes_in: &[i32],
-        scales: &[f32],
-        geom: &Conv2dGeometry,
-        out: &mut [f32],
-        images: Range<usize>,
-        include_interior: bool,
-    ) {
-        let chw = geom.in_channels * geom.in_h * geom.in_w;
-        let (w, stride, padding) = (geom.in_w, geom.stride, geom.padding);
-        let f = self.bounds.len() - 1;
-        let (out_h, out_w) = (geom.out_h, geom.out_w);
-        let rect = self.rect;
-
-        for b in images {
-            let out_scale = scales[b] * weight_scale;
-            let img = &codes_in[b * chw..(b + 1) * chw];
-            for fi in 0..f {
-                let offs = &self.offsets[self.filter(fi)];
-                let tap_codes = &self.codes[self.filter(fi)];
-
-                // Interior: no padding branch, no index decode, no
-                // per-tap accounting — load, tap term, add. Skipped when
-                // a lane block already wrote these bits.
-                if include_interior {
-                    for oi in rect.oi_lo..rect.oi_hi {
-                        let out_row = ((b * f + fi) * out_h + oi) * out_w;
-                        let in_row = (oi * stride - padding) * w;
-                        for oj in rect.oj_lo..rect.oj_hi {
-                            let base = in_row + oj * stride - padding;
-                            let mut acc: i64 = 0;
-                            for (&o, &cd) in offs.iter().zip(tap_codes) {
-                                acc += K::term(img[base + o as usize] as i64, cd);
-                            }
-                            out[out_row + oj] = acc as f32 * out_scale;
-                        }
-                    }
-                }
-
-                // Border: the checked path, on the thin frame only.
-                let border_taps = &self.border[self.filter(fi)];
-                for_each_border_position(geom, &rect, |oi, oj| {
-                    let (ii0, jj0) = window_origin(geom, oi, oj);
+    /// The scalar path over one padded image: i64 accumulation, no
+    /// padding branch, no index decode, no per-tap accounting — load,
+    /// tap term, add.
+    fn run_scalar(&self, img: &[i32], layout: &PaddedLayout, out: &mut [f32], out_scale: f32) {
+        let g = &layout.geom;
+        for (fi, out_filter) in out.chunks_exact_mut(g.out_positions()).enumerate() {
+            let offs = &self.offsets[self.filter(fi)];
+            let tap_codes = &self.codes[self.filter(fi)];
+            for (oi, out_row) in out_filter.chunks_exact_mut(g.out_w).enumerate() {
+                for (oj, slot) in out_row.iter_mut().enumerate() {
+                    let base = layout.origin(oi, oj);
                     let mut acc: i64 = 0;
-                    for (bt, &cd) in border_taps.iter().zip(tap_codes) {
-                        let (ii, jj) = (ii0 + bt.di, jj0 + bt.dj);
-                        if in_bounds(geom, ii, jj) {
-                            let a = img[bt.plane as usize + ii as usize * w + jj as usize];
-                            acc += K::term(a as i64, cd);
-                        }
+                    for (&o, &cd) in offs.iter().zip(tap_codes) {
+                        acc += K::term(img[base + o as usize] as i64, cd);
                     }
-                    out[((b * f + fi) * out_h + oi) * out_w + oj] = acc as f32 * out_scale;
-                });
+                    *slot = acc as f32 * out_scale;
+                }
             }
         }
     }
 }
 
-/// The input coordinates of output position `(oi, oj)`'s window origin
-/// (negative inside the padding).
-fn window_origin(geom: &Conv2dGeometry, oi: usize, oj: usize) -> (i32, i32) {
-    let p = geom.padding as i32;
-    ((oi * geom.stride) as i32 - p, (oj * geom.stride) as i32 - p)
+/// Ops one image costs under the in-bounds-taps convention of
+/// [`OpCounts`], in closed form. `kernel_ij[t]` is tap `t`'s kernel
+/// position `(ki, kj)` and filter `f` owns taps `bounds[f]..bounds[f+1]`.
+///
+/// Padding taps run on zeros but are not counted. Which taps of a filter
+/// land in bounds depends only on the output position's in-bounds kernel
+/// rows and columns, so output rows group into a few classes (the
+/// interior band, plus one per edge row) and columns likewise; each
+/// filter costs `K::tally(t)` once per (row class, column class) pair,
+/// times the pair's multiplicity. `O(classes² · taps)`.
+fn image_tally<K: TapOp>(
+    geom: &Conv2dGeometry,
+    bounds: &[u32],
+    kernel_ij: &[(usize, usize)],
+) -> OpCounts {
+    let rows = window_classes(geom, geom.in_h, geom.out_h);
+    let cols = window_classes(geom, geom.in_w, geom.out_w);
+    let mut total = OpCounts::default();
+    for filter in bounds.windows(2) {
+        let taps = &kernel_ij[filter[0] as usize..filter[1] as usize];
+        for (ki_range, row_count) in &rows {
+            for (kj_range, col_count) in &cols {
+                let t = taps
+                    .iter()
+                    .filter(|(ki, kj)| ki_range.contains(ki) && kj_range.contains(kj))
+                    .count();
+                total += K::tally(t as u64).times(row_count * col_count);
+            }
+        }
+    }
+    total
 }
 
-/// Whether input coordinate `(ii, jj)` lies inside the (unpadded) input.
-fn in_bounds(geom: &Conv2dGeometry, ii: i32, jj: i32) -> bool {
-    (0..geom.in_h as i32).contains(&ii) && (0..geom.in_w as i32).contains(&jj)
+/// One axis of [`image_tally`]: the `out` output coordinates grouped by
+/// the range of kernel indices that land inside the input's `dim`, as
+/// `(kernel range, number of output coordinates)`.
+fn window_classes(geom: &Conv2dGeometry, dim: usize, out: usize) -> Vec<(Range<usize>, u64)> {
+    let (k, p) = (geom.kernel, geom.padding);
+    let mut classes: Vec<(Range<usize>, u64)> = Vec::new();
+    for o in 0..out {
+        // In padded coordinates the window starts at `o · stride` and
+        // the input spans `p..p + dim`.
+        let origin = o * geom.stride;
+        let lo = p.saturating_sub(origin).min(k);
+        let hi = (p + dim).saturating_sub(origin).min(k).max(lo);
+        match classes.iter_mut().find(|(range, _)| *range == (lo..hi)) {
+            Some((_, count)) => *count += 1,
+            None => classes.push((lo..hi, 1)),
+        }
+    }
+    classes
 }
 
 /// Validates the layout contract shared by the lowered and reference
@@ -519,104 +447,16 @@ pub(crate) fn conv_with<K: TapOp>(
     (out, counts)
 }
 
-/// The half-open interior rectangle `[oi_lo, oi_hi) × [oj_lo, oj_hi)` of
-/// output positions whose entire kernel window lies inside the input.
-/// Empty rectangles are normalized to `hi == lo`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct InteriorRect {
-    pub oi_lo: usize,
-    pub oi_hi: usize,
-    pub oj_lo: usize,
-    pub oj_hi: usize,
-}
-
-impl InteriorRect {
-    /// Number of interior output positions.
-    pub fn positions(&self) -> usize {
-        (self.oi_hi - self.oi_lo) * (self.oj_hi - self.oj_lo)
-    }
-
-    /// Whether `(oi, oj)` lies in the interior.
-    #[cfg(test)]
-    pub fn contains(&self, oi: usize, oj: usize) -> bool {
-        (self.oi_lo..self.oi_hi).contains(&oi) && (self.oj_lo..self.oj_hi).contains(&oj)
-    }
-}
-
-/// One axis of the interior: the output coordinates `o` with
-/// `0 <= o·stride − padding` and `o·stride + k − 1 − padding < dim`.
-fn interior_axis(
-    dim: usize,
-    k: usize,
-    stride: usize,
-    padding: usize,
-    out: usize,
-) -> (usize, usize) {
-    let lo = padding.div_ceil(stride).min(out);
-    let hi = if dim + padding >= k {
-        ((dim + padding - k) / stride + 1).min(out)
-    } else {
-        0
-    };
-    (lo, hi.max(lo))
-}
-
-/// Computes the interior rectangle of `geom`.
-pub(crate) fn interior_rect(geom: &Conv2dGeometry) -> InteriorRect {
-    let (oi_lo, oi_hi) = interior_axis(
-        geom.in_h,
-        geom.kernel,
-        geom.stride,
-        geom.padding,
-        geom.out_h,
-    );
-    let (oj_lo, oj_hi) = interior_axis(
-        geom.in_w,
-        geom.kernel,
-        geom.stride,
-        geom.padding,
-        geom.out_w,
-    );
-    InteriorRect {
-        oi_lo,
-        oi_hi,
-        oj_lo,
-        oj_hi,
-    }
-}
-
-/// Visits every output position *outside* `rect` exactly once, row-major:
-/// the full rows above and below the interior band, plus the left/right
-/// column strips of the interior rows.
-///
-/// Kept out of line: inlined into a scalar runner, the border closure's
-/// live values crowd the interior tap loop beside it into spilling
-/// (about 13 % slower per image on network 1).
-#[inline(never)]
-pub(crate) fn for_each_border_position(
-    geom: &Conv2dGeometry,
-    rect: &InteriorRect,
-    mut visit: impl FnMut(usize, usize),
-) {
-    for oi in 0..geom.out_h {
-        if (rect.oi_lo..rect.oi_hi).contains(&oi) {
-            for oj in 0..rect.oj_lo {
-                visit(oi, oj);
-            }
-            for oj in rect.oj_hi..geom.out_w {
-                visit(oi, oj);
-            }
-        } else {
-            for oj in 0..geom.out_w {
-                visit(oi, oj);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixed::{fixed_point_conv_reference_core, FixedWeights};
+    use crate::shift::{shift_add_conv_reference_core, ShiftKernel};
+    use crate::simd::cpu_features;
+    use flight_tensor::{uniform, TensorRng};
+    use flightnn::convert::shift_plan;
+    use flightnn::layers::QuantConv2d;
+    use flightnn::QuantScheme;
 
     fn geoms() -> Vec<Conv2dGeometry> {
         let mut out = Vec::new();
@@ -634,71 +474,144 @@ mod tests {
         out
     }
 
-    /// Brute-force interior definition: every (ki, kj) tap in bounds.
-    fn is_interior(geom: &Conv2dGeometry, oi: usize, oj: usize) -> bool {
-        let k = geom.kernel;
-        (0..k).all(|ki| {
-            let ii = (oi * geom.stride + ki) as isize - geom.padding as isize;
-            ii >= 0 && (ii as usize) < geom.in_h
-        }) && (0..k).all(|kj| {
-            let jj = (oj * geom.stride + kj) as isize - geom.padding as isize;
-            jj >= 0 && (jj as usize) < geom.in_w
-        })
-    }
-
-    #[test]
-    fn rect_matches_bruteforce_interior() {
-        for geom in geoms() {
-            let rect = interior_rect(&geom);
-            for oi in 0..geom.out_h {
-                for oj in 0..geom.out_w {
-                    assert_eq!(
-                        rect.contains(oi, oj),
-                        is_interior(&geom, oi, oj),
-                        "geom {geom:?} position ({oi},{oj})"
-                    );
+    /// Brute-force in-bounds-taps count: every output position, every
+    /// filter, every tap checked against the unpadded input.
+    fn per_position_tally<K: TapOp>(
+        geom: &Conv2dGeometry,
+        filters: &[Vec<(usize, usize)>],
+    ) -> OpCounts {
+        let (s, p) = (geom.stride, geom.padding);
+        let inside = |o: usize, kk: usize, dim: usize| (p..p + dim).contains(&(o * s + kk));
+        let mut total = OpCounts::default();
+        for oi in 0..geom.out_h {
+            for oj in 0..geom.out_w {
+                for taps in filters {
+                    let t = taps
+                        .iter()
+                        .filter(|&&(ki, kj)| inside(oi, ki, geom.in_h) && inside(oj, kj, geom.in_w))
+                        .count();
+                    total += K::tally(t as u64);
                 }
             }
         }
+        total
     }
 
     #[test]
-    fn border_iteration_is_the_exact_complement() {
+    fn closed_form_tally_matches_a_per_position_count() {
         for geom in geoms() {
-            let rect = interior_rect(&geom);
-            let mut seen = vec![false; geom.out_positions()];
-            let mut border = 0usize;
-            for_each_border_position(&geom, &rect, |oi, oj| {
-                let idx = oi * geom.out_w + oj;
-                assert!(!seen[idx], "border position ({oi},{oj}) visited twice");
-                assert!(!rect.contains(oi, oj), "interior leaked into the border");
-                seen[idx] = true;
-                border += 1;
-            });
+            let k = geom.kernel;
+            let dense: Vec<(usize, usize)> = (0..geom.in_channels)
+                .flat_map(|_| (0..k).flat_map(move |ki| (0..k).map(move |kj| (ki, kj))))
+                .collect();
+            // A dense filter, a lone corner tap (t = 0 wherever that
+            // corner lies in the padding), an empty (k_i = 0) filter,
+            // and a sparse one.
+            let filters = [
+                dense,
+                vec![(k - 1, 0)],
+                vec![],
+                vec![(0, k / 2), (k / 2, k / 2), (k - 1, k - 1)],
+            ];
+            let mut bounds = vec![0u32];
+            let mut kernel_ij = Vec::new();
+            for taps in &filters {
+                kernel_ij.extend_from_slice(taps);
+                bounds.push(kernel_ij.len() as u32);
+            }
             assert_eq!(
-                border + rect.positions(),
-                geom.out_positions(),
-                "geom {geom:?}: split must partition the output"
+                image_tally::<ShiftKernel>(&geom, &bounds, &kernel_ij),
+                per_position_tally::<ShiftKernel>(&geom, &filters),
+                "shift tally at {geom:?}"
+            );
+            assert_eq!(
+                image_tally::<FixedWeights>(&geom, &bounds, &kernel_ij),
+                per_position_tally::<FixedWeights>(&geom, &filters),
+                "fixed tally at {geom:?}"
             );
         }
     }
 
-    #[test]
-    fn zero_padding_stride_one_is_all_interior() {
-        let geom = Conv2dGeometry::new(3, 8, 8, 3, 1, 0);
-        let rect = interior_rect(&geom);
-        assert_eq!(rect.positions(), geom.out_positions());
+    /// Runs each `(kernel, geometry, codes)` case in order through one
+    /// `LaneCtx` on `path`, over `LANES + 1` images (one lane block plus
+    /// a scalar remnant), bitwise against `reference`.
+    fn run_through_one_ctx<K: TapOp>(
+        path: KernelPath,
+        cases: &[(K, Conv2dGeometry, Vec<i32>)],
+        reference: Core<K>,
+    ) {
+        let n = LANES + 1;
+        let scales: Vec<f32> = (0..n).map(|b| 0.01 * (b + 1) as f32).collect();
+        let mut lanes = LaneCtx::with_path(path);
+        for (kernel, geom, codes) in cases {
+            assert_eq!(kernel.lowered(geom).lane_path(path, codes, n), path);
+            let len = n * kernel.shape().0 * geom.out_positions();
+            let (mut out, mut want) = (vec![0f32; len], vec![0f32; len]);
+            let (mut counts, mut want_counts) = (OpCounts::default(), OpCounts::default());
+            conv_core(
+                codes,
+                &scales,
+                geom,
+                kernel,
+                &mut out,
+                &mut counts,
+                &mut lanes,
+            );
+            let mut scratch = LaneCtx::with_path(KernelPath::Scalar);
+            reference(
+                codes,
+                &scales,
+                geom,
+                kernel,
+                &mut want,
+                &mut want_counts,
+                &mut scratch,
+            );
+            assert_eq!(out, want, "{path} logits at {geom:?}");
+            assert_eq!(counts, want_counts, "{path} counts at {geom:?}");
+        }
     }
 
     #[test]
-    fn tiny_input_is_all_border() {
-        // 3x3 input, 5x5 kernel, padding 1: no position has the full
-        // window inside.
-        let geom = Conv2dGeometry::new(1, 3, 3, 5, 1, 1);
-        let rect = interior_rect(&geom);
-        assert_eq!(rect.positions(), 0);
-        let mut border = 0;
-        for_each_border_position(&geom, &rect, |_, _| border += 1);
-        assert_eq!(border, geom.out_positions());
+    fn one_lane_ctx_rezeroes_its_padding_across_geometries() {
+        // An unpadded geometry fills the whole arena and plane with rail
+        // codes; the smaller padded one after it reads the same buffers
+        // and must see zeros in its padding, not stale codes.
+        let large = Conv2dGeometry::new(3, 10, 10, 3, 1, 0);
+        let small = Conv2dGeometry::new(2, 5, 4, 3, 1, 2);
+        let n = LANES + 1;
+        let volume = |g: &Conv2dGeometry| n * g.in_channels * g.in_h * g.in_w;
+        let rail: Vec<i32> = (0..volume(&large))
+            .map(|i| if i % 2 == 0 { 127 } else { -127 })
+            .collect();
+        let mixed: Vec<i32> = (0..volume(&small))
+            .map(|i| (i * 37 % 255) as i32 - 127)
+            .collect();
+
+        let mut rng = TensorRng::seed(31);
+        let shift = |rng: &mut TensorRng, c: usize| {
+            let mut conv = QuantConv2d::new(rng, &QuantScheme::l2(), c, 3, 3, 1, 0);
+            ShiftKernel::compile(&shift_plan(&mut conv), &[3, c, 3, 3])
+        };
+        let fixed = |rng: &mut TensorRng, c: usize| {
+            FixedWeights::quantize(&uniform(rng, &[3, c, 3, 3], -0.5, 0.5), 4)
+        };
+        let shift_cases = [
+            (shift(&mut rng, 3), large, rail.clone()),
+            (shift(&mut rng, 2), small, mixed.clone()),
+        ];
+        let fixed_cases = [
+            (fixed(&mut rng, 3), large, rail),
+            (fixed(&mut rng, 2), small, mixed),
+        ];
+
+        let mut paths = vec![KernelPath::Scalar, KernelPath::Portable];
+        if cpu_features().avx2 {
+            paths.push(KernelPath::Avx2);
+        }
+        for path in paths {
+            run_through_one_ctx(path, &shift_cases, shift_add_conv_reference_core);
+            run_through_one_ctx(path, &fixed_cases, fixed_point_conv_reference_core);
+        }
     }
 }

@@ -56,7 +56,8 @@ impl StageObserver for Null {
 /// Emits through a telemetry handle: a `kernel.stage.<i>.<kind>` span
 /// plus one counter per nonzero op field per stage,
 /// `kernel.qact.<site>.{saturated,quantized}` counters per
-/// quantization, and a `kernel.lowering` span plus gauges per kernel.
+/// quantization, and a `kernel.lowering` span plus a `taps_per_filter`
+/// gauge per kernel.
 pub(crate) struct Trace<'a>(pub(crate) &'a Telemetry);
 
 impl Trace<'_> {
@@ -107,15 +108,11 @@ impl StageObserver for Trace<'_> {
         if !self.0.enabled() {
             return run();
         }
-        let stats = stats();
-        for (name, value, unit) in [
-            ("interior_positions", stats.interior_positions as f64, "pos"),
-            ("border_positions", stats.border_positions as f64, "pos"),
-            ("taps_per_filter", stats.mean_taps_per_filter(), "tap"),
-        ] {
-            self.0
-                .gauge(&format!("kernel.lowering.{name}"), value, unit);
-        }
+        self.0.gauge(
+            "kernel.lowering.taps_per_filter",
+            stats().mean_taps_per_filter(),
+            "tap",
+        );
         let _span = self.0.span("kernel.lowering");
         run()
     }

@@ -1,32 +1,33 @@
 //! Batch-major SIMD lanes for the lowered tap programs.
 //!
-//! The lowered program (`lower.rs`) runs its interior loop branchless
-//! but scalar: one tap term per tap per output position per image. This
-//! module vectorizes it **batch-major**: a lane holds the *same spatial
-//! position across [`LANES`] images*, so the tap program — offsets and
-//! codes — is identical for every element of the lane and broadcasts
-//! across it with no per-lane control flow. There is one rect loop per
-//! implementation (portable and AVX2), generic over the datapath's
-//! `TapOp`: the shift path supplies a broadcast shift plus branchless
-//! sign fold, the fixed path an `_mm256_mullo_epi32`, each
+//! The lowered program (`lower.rs`) runs branchless over a zero-padded
+//! input but scalar: one tap term per tap per output position per
+//! image. This module owns that padded layout ([`PaddedLayout`]) and
+//! vectorizes the program **batch-major**: a lane holds the *same
+//! spatial position across [`LANES`] images*, so the tap program —
+//! offsets and codes — is identical for every element of the lane and
+//! broadcasts across it with no per-lane control flow. There is one
+//! lane loop per implementation (portable and AVX2), generic over the
+//! datapath's `TapOp`: the shift path supplies a broadcast shift plus
+//! branchless sign fold, the fixed path an `_mm256_mullo_epi32`, each
 //! monomorphized into the loop.
 //!
-//! That requires a layout change. Activations arrive as per-image
-//! planes (`codes[b · chw ..]`, NCHW); the lane kernels read a
-//! **batch-blocked, lane-major arena** instead, packed per block of
-//! [`LANES`] consecutive images:
+//! Activations arrive as per-image NCHW planes (`codes[b · chw ..]`).
+//! The scalar path copies each image once into a zero-padded plane
+//! ([`pad_image`]); the lane kernels read a **batch-blocked, lane-major,
+//! zero-padded arena**, packed per block of [`LANES`] consecutive
+//! images ([`pack_lane_block`]):
 //!
 //! ```text
-//! block[off · LANES + l] == codes[(b0 + l) · chw + off]
+//! block[padded_off · LANES + l] == image (b0 + l) at padded_off (0 in the padding)
 //! ```
 //!
-//! i.e. the flat `(c, h, w)` offset keeps its meaning and the lane
-//! index becomes the innermost (unit-stride) dimension, so every tap
-//! load is one contiguous 8 × i32 vector. The arena lives in a
-//! [`LaneCtx`] owned by the engine's per-worker scratch, and the
-//! pack/unpack shims sit at the conv stage boundary — the border ring,
-//! activation quantization, and per-image output scales keep their
-//! existing scalar layouts.
+//! i.e. the flat padded `(c, h + 2p, w + 2p)` offset is the one the
+//! lowered taps use, and the lane index becomes the innermost
+//! (unit-stride) dimension, so every tap load is one contiguous
+//! 8 × i32 vector. Both buffers live in a [`LaneCtx`] owned by the
+//! engine's per-worker scratch; activation quantization and per-image
+//! output scales keep their unpadded layouts.
 //!
 //! # Dispatch
 //!
@@ -36,8 +37,8 @@
 //! * [`KernelPath::Avx2`] — `core::arch` AVX2 intrinsics, i32×8 lanes;
 //! * [`KernelPath::Portable`] — the same lane loops over `[i32; LANES]`
 //!   arrays in safe Rust (auto-vectorizes on whatever the target has);
-//! * [`KernelPath::Scalar`] — the pre-lane per-image path (also the
-//!   border/remnant/overflow fallback inside the lane paths).
+//! * [`KernelPath::Scalar`] — the per-image path (also the remnant and
+//!   overflow fallback inside the lane paths).
 //!
 //! [`active_path`] picks once per process: AVX2 when the CPU has it,
 //! unless `FLIGHT_FORCE_SCALAR` pins the scalar path; Portable
@@ -61,7 +62,9 @@
 
 use std::sync::OnceLock;
 
-use crate::lower::{InteriorRect, TapOp};
+use flight_tensor::Conv2dGeometry;
+
+use crate::lower::TapOp;
 
 /// Images per SIMD lane block (i32×8 — one AVX2 register).
 pub const LANES: usize = 8;
@@ -76,16 +79,16 @@ pub(crate) const MAX_LANE_SHIFT: u32 = 30;
 /// diffs and for ruling the vectorizer out of a miscompare.
 pub const FORCE_SCALAR_ENV: &str = "FLIGHT_FORCE_SCALAR";
 
-/// Which interior implementation a conv call runs.
+/// Which implementation of the lowered program a conv call runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPath {
     /// AVX2 i32×8 lanes over the batch-blocked arena.
     Avx2,
     /// The same lane loops in portable safe Rust (`[i32; LANES]`).
     Portable,
-    /// Per-image scalar loops with i64 accumulation — the pre-SIMD
-    /// lowered path, and the fallback for borders, remnant images, and
-    /// accumulator-overflow risks.
+    /// Per-image scalar loops with i64 accumulation over the padded
+    /// plane — the fallback for remnant images and accumulator-overflow
+    /// risks.
     Scalar,
 }
 
@@ -194,16 +197,19 @@ pub fn active_path() -> KernelPath {
     *PATH.get_or_init(detect_path)
 }
 
-/// Per-worker lane state: the dispatch decision plus the batch-blocked
-/// activation arena the lane kernels read. Owned by the engine's
-/// scratch (one per worker / [`ExecCtx`](crate::ExecCtx)) so the arena
-/// grows to the largest conv stage once and is reused from then on.
+/// Per-worker lane state: the dispatch decision plus the zero-padded
+/// buffers the lowered program reads (the lane arena and one scalar
+/// image plane). Owned by the engine's scratch (one per worker /
+/// [`ExecCtx`](crate::ExecCtx)) so both grow to the largest conv stage
+/// once and are reused from then on.
 #[derive(Debug, Clone)]
 pub struct LaneCtx {
     path: KernelPath,
     /// Lane-major blocked codes for the block being processed
-    /// (`chw · LANES` elements; see the module docs for the layout).
+    /// (padded volume `· LANES` elements; see the module docs).
     pub(crate) block: Vec<i32>,
+    /// One image's zero-padded plane, for the scalar path.
+    pub(crate) plane: Vec<i32>,
 }
 
 impl LaneCtx {
@@ -218,6 +224,7 @@ impl LaneCtx {
         LaneCtx {
             path,
             block: Vec::new(),
+            plane: Vec::new(),
         }
     }
 
@@ -239,33 +246,89 @@ impl Default for LaneCtx {
     }
 }
 
-/// Packs [`LANES`] consecutive images' planes into the lane-major
-/// blocked layout: `block[off · LANES + l] = codes[l · chw + off]`.
-/// `codes` holds exactly the block's images, planar.
-pub(crate) fn pack_lane_block(codes: &[i32], chw: usize, block: &mut Vec<i32>) {
+/// The zero-padded input layout every lowered conv reads: each `h × w`
+/// channel plane sits at row and column `p` of a `(h + 2p) × (w + 2p)`
+/// plane of zeros, so every output position's `k × k` window is in
+/// bounds and a tap reads `origin + offset` with no padding branch. The
+/// lowered offsets, the lane arena ([`pack_lane_block`]) and the scalar
+/// plane ([`pad_image`]) all take their strides from here.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PaddedLayout {
+    /// The conv whose input is padded.
+    pub geom: Conv2dGeometry,
+}
+
+impl PaddedLayout {
+    /// Padded row length `w + 2p`.
+    fn row(&self) -> usize {
+        self.geom.in_w + 2 * self.geom.padding
+    }
+
+    /// Padded channel-plane size `(h + 2p)(w + 2p)`.
+    fn plane(&self) -> usize {
+        (self.geom.in_h + 2 * self.geom.padding) * self.row()
+    }
+
+    /// Padded volume `c · (h + 2p)(w + 2p)`.
+    pub fn volume(&self) -> usize {
+        self.geom.in_channels * self.plane()
+    }
+
+    /// Flat offset of padded coordinate `(ch, i, j)`.
+    pub fn offset(&self, ch: usize, i: usize, j: usize) -> usize {
+        ch * self.plane() + i * self.row() + j
+    }
+
+    /// Flat offset of output position `(oi, oj)`'s window origin.
+    pub fn origin(&self, oi: usize, oj: usize) -> usize {
+        (oi * self.row() + oj) * self.geom.stride
+    }
+
+    /// Every input row as `(start in the NCHW image, start in the padded
+    /// volume)`; each row is `w` codes long.
+    fn rows(self) -> impl Iterator<Item = (usize, usize)> {
+        let g = self.geom;
+        (0..g.in_channels).flat_map(move |ch| {
+            (0..g.in_h).map(move |i| {
+                let padded = self.offset(ch, i + g.padding, g.padding);
+                ((ch * g.in_h + i) * g.in_w, padded)
+            })
+        })
+    }
+}
+
+/// Copies one NCHW image into the zero-padded `plane`, re-zeroing the
+/// padding (the buffer is reused across convs of other geometries).
+pub(crate) fn pad_image(img: &[i32], layout: &PaddedLayout, plane: &mut Vec<i32>) {
+    plane.clear();
+    plane.resize(layout.volume(), 0);
+    let w = layout.geom.in_w;
+    for (src, dst) in layout.rows() {
+        plane[dst..dst + w].copy_from_slice(&img[src..src + w]);
+    }
+}
+
+/// Packs [`LANES`] consecutive NCHW images into the zero-padded,
+/// lane-major blocked layout: `block[padded_off · LANES + l]` is image
+/// `l`'s code at `padded_off` (zero in the padding, re-zeroed like
+/// [`pad_image`]'s). `codes` holds exactly the block's images, planar.
+pub(crate) fn pack_lane_block(codes: &[i32], layout: &PaddedLayout, block: &mut Vec<i32>) {
+    let g = &layout.geom;
+    let chw = g.in_channels * g.in_h * g.in_w;
     debug_assert_eq!(codes.len(), chw * LANES);
     block.clear();
-    block.resize(chw * LANES, 0);
-    for off in 0..chw {
-        let dst = &mut block[off * LANES..(off + 1) * LANES];
-        for (l, slot) in dst.iter_mut().enumerate() {
-            *slot = codes[l * chw + off];
+    block.resize(layout.volume() * LANES, 0);
+    for (src, dst) in layout.rows() {
+        for j in 0..g.in_w {
+            let lanes = &mut block[(dst + j) * LANES..(dst + j + 1) * LANES];
+            for (l, slot) in lanes.iter_mut().enumerate() {
+                *slot = codes[l * chw + src + j];
+            }
         }
     }
 }
 
-/// The geometry a lane rect runner needs: the interior rectangle plus
-/// the strides that turn an output position into a window origin.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BlockGeom {
-    pub rect: InteriorRect,
-    pub stride: usize,
-    pub padding: usize,
-    pub in_w: usize,
-    pub out_w: usize,
-}
-
-/// Runs one filter's taps over the interior rectangle of one lane
+/// Runs one filter's taps over every output position of one lane
 /// block, dispatching on `path` ([`KernelPath::Scalar`] is the caller's
 /// responsibility and never reaches here). `codes` is parallel to
 /// `offs`.
@@ -280,22 +343,31 @@ pub(crate) fn run_rect<K: TapOp>(
     block: &[i32],
     offs: &[u32],
     codes: &[K::Code],
-    g: &BlockGeom,
+    layout: &PaddedLayout,
     out: &mut [f32],
     filter_base: usize,
     img_stride: usize,
     out_scales: &[f32; LANES],
 ) {
+    // One release-mode check covers every unchecked AVX2 load: the last
+    // window origin plus the largest offset stays inside the arena.
+    if let Some(&max_off) = offs.iter().max() {
+        let g = &layout.geom;
+        let last = layout.origin(g.out_h - 1, g.out_w - 1) + max_off as usize;
+        assert!(last < block.len() / LANES, "tap offsets overrun the arena");
+    }
     match path {
+        // SAFETY: dispatch only selects Avx2 after
+        // `is_x86_feature_detected!("avx2")`, and the assert above bounds
+        // every load: origins grow with `(oi, oj)`, so the last one plus
+        // the largest offset is the furthest lane group read.
         #[cfg(target_arch = "x86_64")]
         KernelPath::Avx2 => unsafe {
-            // Safety: dispatch only selects Avx2 after
-            // `is_x86_feature_detected!("avx2")`.
             avx2::rect::<K>(
                 block,
                 offs,
                 codes,
-                g,
+                layout,
                 out,
                 filter_base,
                 img_stride,
@@ -306,7 +378,7 @@ pub(crate) fn run_rect<K: TapOp>(
             block,
             offs,
             codes,
-            g,
+            layout,
             out,
             filter_base,
             img_stride,
@@ -315,25 +387,25 @@ pub(crate) fn run_rect<K: TapOp>(
     }
 }
 
-/// The portable lane implementation of the interior: identical loop
-/// structure to the AVX2 version, over `[i32; LANES]` arrays the
-/// compiler is free to auto-vectorize.
+/// The portable lane implementation: identical loop structure to the
+/// AVX2 version, over `[i32; LANES]` arrays the compiler is free to
+/// auto-vectorize.
 #[allow(clippy::too_many_arguments)]
 fn rect_portable<K: TapOp>(
     block: &[i32],
     offs: &[u32],
     codes: &[K::Code],
-    g: &BlockGeom,
+    layout: &PaddedLayout,
     out: &mut [f32],
     filter_base: usize,
     img_stride: usize,
     out_scales: &[f32; LANES],
 ) {
-    for oi in g.rect.oi_lo..g.rect.oi_hi {
-        let in_row = (oi * g.stride - g.padding) * g.in_w;
+    let g = &layout.geom;
+    for oi in 0..g.out_h {
         let out_row = filter_base + oi * g.out_w;
-        for oj in g.rect.oj_lo..g.rect.oj_hi {
-            let base = in_row + oj * g.stride - g.padding;
+        for oj in 0..g.out_w {
+            let base = layout.origin(oi, oj);
             let mut acc = [0i32; LANES];
             for (&o, &cd) in offs.iter().zip(codes) {
                 let p = (base + o as usize) * LANES;
@@ -357,32 +429,33 @@ mod avx2 {
 
     use core::arch::x86_64::*;
 
-    use super::{BlockGeom, LANES};
+    use super::{PaddedLayout, LANES};
     use crate::lower::TapOp;
 
-    /// One filter's taps over the interior rect, i32×8.
+    /// One filter's taps over every output position, i32×8.
     ///
     /// # Safety
     ///
-    /// Caller must have verified AVX2 support.
+    /// Caller must have verified AVX2 support and that every window
+    /// origin plus offset indexes a lane group inside `block`.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn rect<K: TapOp>(
         block: &[i32],
         offs: &[u32],
         codes: &[K::Code],
-        g: &BlockGeom,
+        layout: &PaddedLayout,
         out: &mut [f32],
         filter_base: usize,
         img_stride: usize,
         out_scales: &[f32; LANES],
     ) {
         let src = block.as_ptr();
-        for oi in g.rect.oi_lo..g.rect.oi_hi {
-            let in_row = (oi * g.stride - g.padding) * g.in_w;
+        let g = &layout.geom;
+        for oi in 0..g.out_h {
             let out_row = filter_base + oi * g.out_w;
-            for oj in g.rect.oj_lo..g.rect.oj_hi {
-                let base = in_row + oj * g.stride - g.padding;
+            for oj in 0..g.out_w {
+                let base = layout.origin(oi, oj);
                 let mut acc = _mm256_setzero_si256();
                 for (&o, &cd) in offs.iter().zip(codes) {
                     let p = (base + o as usize) * LANES;
@@ -442,19 +515,27 @@ mod tests {
 
     #[test]
     fn pack_is_the_lane_major_transpose() {
-        // 2 "pixels" per image: block must interleave images.
-        let chw = 2;
-        let codes: Vec<i32> = (0..(LANES * chw) as i32).collect();
+        // 2 channels of 2×3 codes, padding 1: the block interleaves the
+        // images and each lane is that image's zero-padded plane.
+        let geom = Conv2dGeometry::new(2, 2, 3, 3, 1, 1);
+        let layout = PaddedLayout { geom };
+        let chw = 2 * 2 * 3;
+        let codes: Vec<i32> = (1..=(LANES * chw) as i32).collect();
         let mut block = Vec::new();
-        pack_lane_block(&codes, chw, &mut block);
-        for off in 0..chw {
-            for l in 0..LANES {
+        pack_lane_block(&codes, &layout, &mut block);
+        assert_eq!(block.len(), 2 * 4 * 5 * LANES);
+        let mut plane = Vec::new();
+        for l in 0..LANES {
+            pad_image(&codes[l * chw..(l + 1) * chw], &layout, &mut plane);
+            let lane: Vec<i32> = block.iter().skip(l).step_by(LANES).copied().collect();
+            assert_eq!(lane, plane, "lane {l}");
+            for (ch, i, j) in [(0, 0, 0), (1, 1, 2)] {
                 assert_eq!(
-                    block[off * LANES + l],
-                    codes[l * chw + off],
-                    "off {off} lane {l}"
+                    plane[layout.offset(ch, i + 1, j + 1)],
+                    codes[l * chw + (ch * 2 + i) * 3 + j]
                 );
             }
+            assert_eq!(plane.iter().filter(|&&c| c != 0).count(), chw);
         }
     }
 

@@ -1,14 +1,15 @@
 //! Parity suite for the lowered tap-program kernels.
 //!
-//! The lowered cores (precomputed offsets, interior/border split,
-//! analytic op accounting) must be **bit-identical** — logits and
+//! The lowered cores (precomputed offsets into a zero-padded input,
+//! closed-form op accounting) must be **bit-identical** — logits and
 //! [`OpCounts`] — to the retained interpreted reference cores across the
 //! whole geometry space: every kernel size, stride, padding, and odd
-//! input shape, including degenerate all-border and all-interior cases.
+//! input shape, including windows that lie partly or wholly in padding.
 //! The reference cores are the oracle; they count ops inside the loop,
 //! so agreement also pins the counting conventions documented on
 //! [`OpCounts`].
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use flight_kernels::fixed::{
@@ -48,7 +49,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Lowered shift-add conv == interpreted reference, bitwise, over the
-    /// geometry space the interior/border split has to get right.
+    /// geometry space the padded offsets and the tally have to get right.
     #[test]
     fn lowered_shift_conv_is_bit_identical_to_reference(
         k_idx in 0usize..3,
@@ -121,9 +122,9 @@ proptest! {
     /// multiples, and non-lane-multiple remnants.
     #[test]
     fn every_shift_path_is_bit_identical_across_batches(
-        k_idx in 0usize..2,
+        k_idx in 0usize..3,
         stride in 1usize..3,
-        padding in 0usize..2,
+        padding in 0usize..3,
         h in 3usize..10,
         w in 3usize..10,
         c in 1usize..3,
@@ -131,7 +132,7 @@ proptest! {
         n in 1usize..=33,
         seed in 0u64..1000,
     ) {
-        let k = [1, 3][k_idx];
+        let k = [1, 3, 5][k_idx];
         prop_assume!(h + 2 * padding >= k && w + 2 * padding >= k);
 
         let kernel = shift_kernel(seed, &QuantScheme::l2(), c, f, k);
@@ -152,9 +153,9 @@ proptest! {
     /// Same path matrix for the fixed-point datapath.
     #[test]
     fn every_fixed_path_is_bit_identical_across_batches(
-        k_idx in 0usize..2,
+        k_idx in 0usize..3,
         stride in 1usize..3,
-        padding in 0usize..2,
+        padding in 0usize..3,
         h in 3usize..10,
         w in 3usize..10,
         c in 1usize..3,
@@ -162,7 +163,7 @@ proptest! {
         n in 1usize..=33,
         seed in 0u64..1000,
     ) {
-        let k = [1, 3][k_idx];
+        let k = [1, 3, 5][k_idx];
         prop_assume!(h + 2 * padding >= k && w + 2 * padding >= k);
 
         let mut rng = TensorRng::seed(seed);
@@ -184,7 +185,7 @@ proptest! {
 
 #[test]
 fn shift_counts_follow_k_shifts_k_minus_1_adds_analytically() {
-    // Padding 0: every output position is interior and executes every
+    // Padding 0: every window lies inside the input and executes every
     // tap, so the totals close in closed form: `taps` shifts per position
     // and `taps − 1` adds per filter with at least one tap.
     let kernel = shift_kernel(3, &QuantScheme::l2(), 2, 3, 3);
@@ -259,18 +260,19 @@ fn lanes_leave_programs_whose_i32_accumulators_would_wrap() {
 
 #[test]
 fn lowering_stats_partition_every_geometry() {
+    // Padding puts no position on a second program: every geometry runs
+    // the same taps, so the program shape is geometry-independent.
     let kernel = shift_kernel(7, &QuantScheme::l1(), 2, 3, 3);
     for (h, w, stride, padding) in [(7, 9, 1, 1), (8, 8, 2, 1), (3, 3, 1, 2), (9, 5, 2, 0)] {
         let geom = Conv2dGeometry::new(2, h, w, 3, stride, padding);
         let stats = kernel.lowering_stats(&geom);
+        assert_eq!(stats.total_taps, kernel.total_taps(), "{geom:?}");
+        assert_eq!(stats.filters, 3, "{geom:?}");
         assert_eq!(
-            stats.interior_positions + stats.border_positions,
-            geom.out_positions(),
-            "{h}x{w} s{stride} p{padding}: split must partition the output map"
+            stats.mean_taps_per_filter(),
+            kernel.total_taps() as f64 / 3.0,
+            "{geom:?}"
         );
-        if padding == 0 {
-            assert_eq!(stats.border_positions, 0, "no padding → no border");
-        }
     }
 }
 
@@ -354,23 +356,14 @@ fn sequential_trace_emits_kernel_lowering_events() {
         .filter(|e| e.kind == EventKind::SpanEnd && e.name == "kernel.lowering")
         .count();
     assert_eq!(spans, 2, "one lowering span per conv stage");
-    let interior = events
+    // Every position runs the one padded program, so there is no
+    // position split to gauge: taps per filter is the only lowering gauge.
+    let gauges: BTreeSet<&str> = events
         .iter()
-        .find(|e| e.kind == EventKind::Gauge && e.name == "kernel.lowering.interior_positions")
-        .expect("interior-position gauge emitted");
-    let border = events
-        .iter()
-        .find(|e| e.kind == EventKind::Gauge && e.name == "kernel.lowering.border_positions")
-        .expect("border-position gauge emitted");
-    // 6x6, k3 s1 p1 → 6x6 output with a 4x4 interior and 20-position border.
-    assert_eq!(interior.value, 16.0);
-    assert_eq!(border.value, 20.0);
-    assert!(
-        events
-            .iter()
-            .any(|e| e.kind == EventKind::Gauge && e.name == "kernel.lowering.taps_per_filter"),
-        "taps-per-filter gauge emitted"
-    );
+        .filter(|e| e.kind == EventKind::Gauge && e.name.starts_with("kernel.lowering."))
+        .map(|e| e.name.as_str())
+        .collect();
+    assert_eq!(gauges, BTreeSet::from(["kernel.lowering.taps_per_filter"]));
 }
 
 #[test]
@@ -406,7 +399,7 @@ fn parallel_workers_attribute_lowering_events_through_prefix_sink() {
         );
         assert!(
             events.iter().any(|e| e.kind == EventKind::Gauge
-                && e.name == format!("{worker}kernel.lowering.interior_positions")),
+                && e.name == format!("{worker}kernel.lowering.taps_per_filter")),
             "{worker} emits prefixed lowering gauges"
         );
     }
