@@ -111,7 +111,7 @@ fn bench_training_step(c: &mut Criterion) {
 fn bench_telemetry_overhead(c: &mut Criterion) {
     use flight_data::{DatasetKind, Fidelity, SyntheticDataset};
     use flight_kernels::{CompileOptions, IntNetwork};
-    use flight_telemetry::{AggregatingSink, CollectingSink, Telemetry};
+    use flight_telemetry::{CollectingSink, Telemetry};
     use flightnn::configs::NetworkConfig;
     use flightnn::FlightTrainer;
     use std::sync::Arc;
@@ -139,21 +139,8 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     // construction on every stage).
     let mut group = c.benchmark_group("telemetry_overhead");
     group.bench_function("forward_null_sink", |b| b.iter(|| engine.forward(&input)));
-    let traced = engine
-        .clone()
-        .with_telemetry(Telemetry::new(Arc::new(CollectingSink::new())));
+    let traced = engine.with_telemetry(Telemetry::new(Arc::new(CollectingSink::new())));
     group.bench_function("forward_traced", |b| b.iter(|| traced.forward(&input)));
-    // Aggregated tracing: same event stream folded by an
-    // AggregatingSink, so the inner sink sees O(names) snapshots instead
-    // of O(events) — the cost of folding should be comparable to the
-    // cost of collecting.
-    let aggregated = engine.with_telemetry(Telemetry::new(Arc::new(AggregatingSink::new(
-        Arc::new(CollectingSink::new()),
-        flight_telemetry::agg::DEFAULT_SNAPSHOT_EVERY,
-    ))));
-    group.bench_function("forward_aggregated", |b| {
-        b.iter(|| aggregated.forward(&input))
-    });
     group.finish();
 }
 

@@ -20,12 +20,10 @@ use crate::suite::ModelRow;
 
 /// Manifest schema version; bump when the JSON layout changes.
 ///
-/// v2 added the flat `metrics` object — every scalar the run produced
-/// under a stable dotted name (`tables.<table>.<label>.<field>`, plus
-/// numeric/bool exhibit extras), which is what `flightctl diff` gates
-/// on. v1 manifests are still readable: the diff tool synthesizes the
-/// same names from the raw table rows.
-pub const MANIFEST_SCHEMA_VERSION: u64 = 2;
+/// v3 dropped v2's flat `metrics` object (a second copy of the table
+/// rows and extras under dotted names); the rows and the top-level
+/// extras are the only copy.
+pub const MANIFEST_SCHEMA_VERSION: u64 = 3;
 
 /// Environment variable naming the directory manifests are written to
 /// (default: the working directory).
@@ -33,8 +31,8 @@ pub const BENCH_DIR_ENV: &str = "FLIGHT_BENCH_DIR";
 
 /// The host a manifest's numbers were measured on. Throughput-style
 /// metrics are machine-dependent; recording the machine in the manifest
-/// makes cross-run comparisons (`flightctl diff`, the capacity planner)
-/// interpretable instead of mysterious.
+/// makes cross-run comparisons (perfbench's A/B runs, the capacity
+/// planner) interpretable instead of mysterious.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostEnv {
     /// Logical core count (`available_parallelism`).
@@ -213,70 +211,17 @@ pub fn render_manifest(
     for (key, value) in extras {
         obj = obj.field(key, value.clone());
     }
-    obj = obj.field("metrics", metrics_json(tables, elapsed_secs, extras));
     obj.build().render()
 }
 
-/// The schema-v2 flat `metrics` object: every scalar of the run under a
-/// stable dotted name, so `flightctl diff` compares manifests without
-/// knowing any exhibit's table shape. Row labels are sanitized
-/// (whitespace → `_`) to keep `--metrics` prefixes shell-friendly;
-/// `None` fields are omitted rather than zeroed; bool extras become
-/// 1/0.
-fn metrics_json(
-    tables: &[(String, Vec<ModelRow>)],
-    elapsed_secs: f64,
-    extras: &[(&str, JsonValue)],
-) -> JsonValue {
-    let mut metrics = JsonObject::new()
-        .field("schema_version", MANIFEST_SCHEMA_VERSION)
-        .field("elapsed_secs", elapsed_secs);
-    for (table, rows) in tables {
-        for row in rows {
-            let base = format!("tables.{table}.{}", sanitize_label(&row.label));
-            metrics = metrics
-                .field(&format!("{base}.accuracy"), row.accuracy)
-                .field(&format!("{base}.storage_mb"), row.storage_mb)
-                .field(&format!("{base}.throughput"), row.throughput)
-                .field(&format!("{base}.speedup"), row.speedup)
-                .field(&format!("{base}.energy_uj"), row.energy_uj);
-            if let Some(k) = row.mean_k {
-                metrics = metrics.field(&format!("{base}.mean_k"), k);
-            }
-        }
-    }
-    for (key, value) in extras {
-        let scalar = match value {
-            JsonValue::Number(x) => Some(*x),
-            JsonValue::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
-            _ => None,
-        };
-        if let Some(x) = scalar {
-            metrics = metrics.field(key, x);
-        }
-    }
-    metrics.build()
-}
-
 /// The JSONL trace path a `FLIGHT_TELEMETRY` spec writes to, if any:
-/// `jsonl:<path>` and any `agg:`-wrapped nesting of it resolve to
-/// `<path>`; every other spec (stderr, null, typos) resolves to `None`.
+/// `jsonl:<path>` resolves to `<path>`; every other spec (stderr, null,
+/// typos) resolves to `None`.
 pub fn trace_path_from_spec(spec: &str) -> Option<String> {
-    let mut rest = spec.trim();
-    while let Some(inner) = rest.strip_prefix("agg:") {
-        rest = inner;
-    }
-    rest.strip_prefix("jsonl:")
+    spec.trim()
+        .strip_prefix("jsonl:")
         .filter(|p| !p.is_empty())
         .map(str::to_string)
-}
-
-/// Row labels as metric-name segments: whitespace collapses to `_`.
-fn sanitize_label(label: &str) -> String {
-    label
-        .chars()
-        .map(|c| if c.is_whitespace() { '_' } else { c })
-        .collect()
 }
 
 fn row_json(row: &ModelRow) -> JsonValue {
@@ -366,6 +311,7 @@ mod tests {
             Some("FL_b")
         );
         assert_eq!(rows[1].get("mean_k").and_then(JsonValue::as_f64), Some(1.5));
+        assert!(v.get("metrics").is_none(), "v3 keeps one copy of the rows");
     }
 
     #[test]
@@ -396,39 +342,6 @@ mod tests {
             v.get("exhibit").and_then(JsonValue::as_str),
             Some("lowering")
         );
-    }
-
-    #[test]
-    fn v2_metrics_object_flattens_rows_and_extras() {
-        let tables = vec![(
-            "engine".to_string(),
-            vec![ModelRow {
-                mean_k: None,
-                ..row("lowered parallel x4")
-            }],
-        )];
-        let extras = [
-            ("parity", JsonValue::Bool(true)),
-            ("speedup", JsonValue::Number(2.9)),
-            ("note", JsonValue::String("not a metric".to_string())),
-        ];
-        let text = render_manifest("lowering", None, &tables, 1.5, "abc", None, &extras);
-        let v = JsonValue::parse(&text).expect("valid JSON");
-        let m = v.get("metrics").expect("metrics object");
-        let get = |n: &str| m.get(n).and_then(JsonValue::as_f64);
-        assert_eq!(get("schema_version"), Some(MANIFEST_SCHEMA_VERSION as f64));
-        assert_eq!(get("elapsed_secs"), Some(1.5));
-        // Labels sanitize, every numeric row field lands, None is absent.
-        assert_eq!(
-            get("tables.engine.lowered_parallel_x4.throughput"),
-            Some(100.0)
-        );
-        assert_eq!(get("tables.engine.lowered_parallel_x4.accuracy"), Some(0.5));
-        assert!(m.get("tables.engine.lowered_parallel_x4.mean_k").is_none());
-        // Bool extras become 1/0; string extras are not metrics.
-        assert_eq!(get("parity"), Some(1.0));
-        assert_eq!(get("speedup"), Some(2.9));
-        assert!(m.get("note").is_none());
     }
 
     #[test]
@@ -480,12 +393,7 @@ mod tests {
             trace_path_from_spec("jsonl:run.jsonl"),
             Some("run.jsonl".to_string())
         );
-        assert_eq!(
-            trace_path_from_spec("agg:jsonl:out/t.jsonl"),
-            Some("out/t.jsonl".to_string())
-        );
         assert_eq!(trace_path_from_spec("stderr"), None);
-        assert_eq!(trace_path_from_spec("agg:stderr"), None);
         assert_eq!(trace_path_from_spec("jsonl:"), None);
         assert_eq!(trace_path_from_spec(""), None);
     }

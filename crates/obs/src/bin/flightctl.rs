@@ -1,8 +1,7 @@
-//! `flightctl` — trace analysis, run diffs, and capacity planning.
+//! `flightctl` — trace analysis, live dashboards, and capacity planning.
 //!
 //! ```text
 //! flightctl summarize <trace.jsonl> [--json]
-//! flightctl diff <baseline> <candidate> [--tolerance 0.05] [--metrics p1,p2]
 //! flightctl capacity <manifest.json> --qps <target> [--p99-ms <bound>]
 //! flightctl health <trace.jsonl> [--json]
 //! flightctl export <trace.jsonl> [--format chrome|folded] [--out <path>]
@@ -13,16 +12,15 @@
 //!                   [--window <life|1s|10s|60s>]
 //! ```
 //!
-//! Exit codes: `0` success / within tolerance, `1` regression or health
-//! warnings, `2` usage or I/O errors. Flag parsing is the shared
+//! Exit codes: `0` success, `1` health warnings, SLO breach or
+//! infeasible capacity, `2` usage or I/O errors. Flag parsing is the shared
 //! [`flight_obs::cli`] vocabulary parser — every subcommand accepts
 //! both `--flag value` and `--flag=value` and rejects unknown flags.
 
 use std::io::IsTerminal;
 
 use flight_obs::capacity::{plan_capacity, CapacityError, CapacityRequest, DEFAULT_HEADROOM};
-use flight_obs::cli::{parse_cli, ParsedArgs, EXIT_FAIL, EXIT_OK, EXIT_USAGE};
-use flight_obs::diff::{diff, load_metrics, DiffOptions};
+use flight_obs::cli::{parse_cli, EXIT_FAIL, EXIT_OK, EXIT_USAGE};
 use flight_obs::profile::{profile, ProfileOptions, PROFILE_WINDOW_LABELS};
 use flight_obs::tick::TickOptions;
 use flight_obs::top::{top, TopOptions, WINDOW_LABELS};
@@ -31,8 +29,6 @@ use flight_obs::{export_chrome, export_folded, health, read_trace, summarize, su
 
 const USAGE: &str = "usage:
   flightctl summarize <trace.jsonl> [--json]
-  flightctl diff <baseline> <candidate> [--tolerance <rel> | --tolerance <metric>=<rel>]...
-                 [--metrics <prefix,...>]
   flightctl capacity <BENCH_*.manifest.json> --qps <target> [--p99-ms <bound>]
                  [--headroom <frac>] [--json]
   flightctl health <trace.jsonl> [--json]
@@ -43,9 +39,9 @@ const USAGE: &str = "usage:
   flightctl profile <addr> [--once|--follow] [--interval <ms>]
                 [--window <life|1s|10s|60s>] [--idle-exit <secs>]
 
-inputs are JSONL telemetry traces or BENCH_*.manifest.json run manifests
-(diff, and capacity for any manifest carrying a `scaling` block, such
-as loadgen's BENCH_serve.manifest.json).
+inputs are JSONL telemetry traces (FLIGHT_TELEMETRY=jsonl:<path>); capacity
+takes a run manifest carrying a `scaling` block, such as loadgen's
+BENCH_serve.manifest.json.
 export writes Chrome trace-event JSON for Perfetto / chrome://tracing;
 --format folded takes a saved `flightq profile` snapshot instead and
 writes flamegraph folded stacks (flamegraph.pl / inferno / speedscope).
@@ -55,7 +51,7 @@ renders every compiled stage's share of forward time, hottest first.
 top polls a running flight-serve server's stats/exemplars verbs; with
 --slo-p99-ms / --error-budget it exits 1 when the SLO is breached over
 the chosen window, so `top --once` doubles as a deploy health gate.
-exit codes: 0 ok, 1 regression/warnings/SLO breach, 2 usage or I/O error.";
+exit codes: 0 ok, 1 warnings/SLO breach/infeasible, 2 usage or I/O error.";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -65,7 +61,6 @@ fn main() {
 fn run(args: &[String]) -> i32 {
     match args.first().map(String::as_str) {
         Some("summarize") => cmd_summarize(&args[1..]),
-        Some("diff") => cmd_diff(&args[1..]),
         Some("capacity") => cmd_capacity(&args[1..]),
         Some("health") => cmd_health(&args[1..]),
         Some("export") => cmd_export(&args[1..]),
@@ -449,79 +444,5 @@ fn cmd_capacity(args: &[String]) -> i32 {
             eprintln!("flightctl: {e}");
             EXIT_USAGE
         }
-    }
-}
-
-/// Folds the repeatable `--tolerance` values (global number or
-/// `metric=pct` override) and `--metrics` into [`DiffOptions`].
-fn diff_options(parsed: &ParsedArgs) -> Result<DiffOptions, String> {
-    let mut options = DiffOptions::default();
-    for raw in parsed.values("--tolerance") {
-        // `--tolerance 0.05` sets the global tolerance;
-        // `--tolerance metric=0.2` (repeatable) overrides one metric —
-        // e.g. loosen a machine-dependent throughput while the rest of
-        // the gate stays tight.
-        if let Some((metric, pct)) = raw.split_once('=') {
-            match pct.parse::<f64>() {
-                Ok(t) if t >= 0.0 && t.is_finite() && !metric.is_empty() => {
-                    options.overrides.push((metric.to_string(), t));
-                }
-                _ => {
-                    return Err(
-                        "--tolerance metric=pct needs a metric name and a non-negative number"
-                            .to_string(),
-                    )
-                }
-            }
-        } else {
-            match raw.parse::<f64>() {
-                Ok(t) if t >= 0.0 && t.is_finite() => options.tolerance = t,
-                _ => return Err("--tolerance must be a non-negative number".to_string()),
-            }
-        }
-    }
-    if let Some(raw) = parsed.value("--metrics") {
-        options.prefixes = raw
-            .split(',')
-            .map(str::trim)
-            .filter(|p| !p.is_empty())
-            .map(str::to_string)
-            .collect();
-    }
-    Ok(options)
-}
-
-fn cmd_diff(args: &[String]) -> i32 {
-    let parsed = match parse_cli(args, &["--tolerance", "--metrics"], &[]) {
-        Ok(parsed) => parsed,
-        Err(e) => return usage_error(&e),
-    };
-    let options = match diff_options(&parsed) {
-        Ok(o) => o,
-        Err(e) => return usage_error(&e),
-    };
-    let [baseline, candidate] = parsed.positionals() else {
-        return usage_error("diff takes exactly two input paths");
-    };
-    let old = match load_metrics(baseline) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("flightctl: {e}");
-            return EXIT_USAGE;
-        }
-    };
-    let new = match load_metrics(candidate) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("flightctl: {e}");
-            return EXIT_USAGE;
-        }
-    };
-    let report = diff(&old, &new, &options);
-    print!("{}", report.render());
-    if report.has_regressions() {
-        EXIT_FAIL
-    } else {
-        EXIT_OK
     }
 }

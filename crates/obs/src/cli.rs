@@ -10,9 +10,9 @@
 //! unless you ask for all), typed accessors with uniform error
 //! messages, and the three exit codes the tools share.
 
-/// Success / within tolerance.
+/// Success.
 pub const EXIT_OK: i32 = 0;
-/// The check itself failed: regression, health warnings, infeasible
+/// The check itself failed: health warnings, SLO breach, infeasible
 /// capacity.
 pub const EXIT_FAIL: i32 = 1;
 /// Usage or I/O error — the tool never got to the check.
@@ -97,8 +97,7 @@ impl ParsedArgs {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Every value given for `flag`, in order (for repeatable flags
-    /// like `--tolerance metric=pct`).
+    /// Every value given for `flag`, in order (for repeatable flags).
     pub fn values<'a>(&'a self, flag: &'a str) -> impl Iterator<Item = &'a str> + 'a {
         self.values
             .iter()

@@ -8,9 +8,9 @@
 //!   the `span_end` elapsed seconds converted to microseconds — the
 //!   same number `summarize` folds — so timeline widths agree with the
 //!   JSONL trace to well under a microsecond. The start time is the
-//!   paired `span_start`'s `ts`; an orphan end (aggregated or
-//!   concatenated trace) is placed at `end ts − duration`.
-//! * **Counters, gauges, and snapshot headlines** become counter
+//!   paired `span_start`'s `ts`; an orphan end (a concatenated trace)
+//!   is placed at `end ts − duration`.
+//! * **Counters and gauges** become counter
 //!   (`"ph": "C"`) events, which Perfetto renders as stepped value
 //!   tracks. Non-finite readings are dropped and counted.
 //! * **Worker attribution** reuses the `kernel.worker.<ww>.` name
@@ -58,7 +58,7 @@ pub const REQUEST_TID_BASE: u64 = 1000;
 pub struct ExportStats {
     /// Span pairs exported as complete (`X`) events.
     pub complete_spans: u64,
-    /// Counter/gauge/snapshot readings exported as counter (`C`) events.
+    /// Counter/gauge readings exported as counter (`C`) events.
     pub counter_events: u64,
     /// `span_start`s with no matching end — truncated tail; skipped.
     pub unmatched_starts: u64,
@@ -198,7 +198,7 @@ pub fn export_chrome(trace: &Trace) -> (JsonValue, ExportStats) {
                 }
                 events.push(obj.build());
             }
-            EventKind::Counter | EventKind::Gauge | EventKind::Snapshot => {
+            EventKind::Counter | EventKind::Gauge => {
                 if !event.value.is_finite() {
                     stats.dropped_non_finite += 1;
                     continue;
@@ -429,7 +429,7 @@ mod tests {
             // A start with no end (killed run)…
             r#"{"seq":0,"ts":5.0,"name":"a","kind":"span_start","value":0,"unit":"s","span":1}"#,
             "\n",
-            // …and an end with no start (aggregated trace).
+            // …and an end with no start (concatenated trace).
             r#"{"seq":1,"ts":100.0,"name":"b","kind":"span_end","value":1e-5,"unit":"s","span":2}"#,
             "\n",
         );

@@ -31,9 +31,8 @@
 use std::fmt::Write as _;
 
 use flight_telemetry::json::JsonObject;
-use flight_telemetry::EventKind;
 
-use crate::summarize::last_snapshots;
+use crate::summarize::{counter_totals, gauge_trajectories};
 use crate::trace::Trace;
 
 /// Clamp rate above which activation quantization is flagged.
@@ -112,32 +111,8 @@ pub fn health(trace: &Trace) -> HealthReport {
     report
 }
 
-/// First→last trajectory of every gauge matching `filter`.
-fn gauge_trajectories(trace: &Trace, filter: impl Fn(&str) -> bool) -> Vec<(&str, f64, f64)> {
-    let mut traj: Vec<(&str, f64, f64)> = Vec::new();
-    for event in &trace.events {
-        if event.kind != EventKind::Gauge || !event.value.is_finite() || !filter(&event.name) {
-            continue;
-        }
-        match traj.iter_mut().find(|(n, _, _)| *n == event.name) {
-            Some((_, _, last)) => *last = event.value,
-            None => traj.push((&event.name, event.value, event.value)),
-        }
-    }
-    // Aggregated traces only keep the last reading.
-    for (event, stats) in last_snapshots(&trace.events) {
-        if stats.agg == "gauge"
-            && filter(&event.name)
-            && !traj.iter().any(|(n, _, _)| *n == event.name)
-        {
-            traj.push((&event.name, stats.last, stats.last));
-        }
-    }
-    traj
-}
-
 fn check_mean_k(trace: &Trace, report: &mut HealthReport) {
-    let traj = gauge_trajectories(trace, |n| n.ends_with("train.mean_k"));
+    let traj = gauge_trajectories(&trace.events, |n| n.ends_with("train.mean_k"));
     let Some((_, first, last)) = traj.first() else {
         report.lines.push("mean k: no signal in trace".to_string());
         return;
@@ -157,7 +132,7 @@ fn check_mean_k(trace: &Trace, report: &mut HealthReport) {
 }
 
 fn check_threshold_saturation(trace: &Trace, report: &mut HealthReport) {
-    let traj = gauge_trajectories(trace, |n| n.contains("train.threshold."));
+    let traj = gauge_trajectories(&trace.events, |n| n.contains("train.threshold."));
     if traj.is_empty() {
         report
             .lines
@@ -180,31 +155,15 @@ fn check_threshold_saturation(trace: &Trace, report: &mut HealthReport) {
 }
 
 fn check_activation_clamping(trace: &Trace, report: &mut HealthReport) {
-    // Counter totals per full name; `contains` (not prefix) because
-    // parallel workers emit prefixed names like
-    // `kernel.worker.00.kernel.qact.conv.saturated`.
-    let mut totals: Vec<(String, f64)> = Vec::new();
-    let mut add = |name: &str, delta: f64| match totals.iter_mut().find(|(n, _)| n == name) {
-        Some((_, t)) => *t += delta,
-        None => totals.push((name.to_string(), delta)),
-    };
-    for event in &trace.events {
-        if event.kind == EventKind::Counter
-            && event.value.is_finite()
-            && event.name.contains("kernel.qact.")
-        {
-            add(&event.name, event.value);
-        }
-    }
-    for (event, stats) in last_snapshots(&trace.events) {
-        if stats.agg == "counter" && event.name.contains("kernel.qact.") {
-            add(&event.name, stats.sum);
-        }
-    }
-    // Fold worker prefixes away: stage = the segment after "kernel.qact.".
+    // Fold worker prefixes away: stage = the segment after
+    // "kernel.qact.", wherever it sits in the name (worker-prefixed
+    // names like `kernel.worker.00.kernel.qact.conv.saturated` count).
     let mut stages: Vec<(String, f64, f64)> = Vec::new(); // (stage, saturated, quantized)
-    for (name, total) in &totals {
-        let tail = &name[name.find("kernel.qact.").expect("filtered") + "kernel.qact.".len()..];
+    for (name, total, _) in counter_totals(&trace.events) {
+        let Some(at) = name.find("kernel.qact.") else {
+            continue;
+        };
+        let tail = &name[at + "kernel.qact.".len()..];
         let Some((stage, field)) = tail.split_once('.') else {
             continue;
         };
@@ -248,7 +207,7 @@ fn check_activation_clamping(trace: &Trace, report: &mut HealthReport) {
 }
 
 fn check_gradient_norms(trace: &Trace, report: &mut HealthReport) {
-    let traj = gauge_trajectories(trace, |n| n.contains(".grad_norm."));
+    let traj = gauge_trajectories(&trace.events, |n| n.contains(".grad_norm."));
     if traj.is_empty() {
         report
             .lines
@@ -296,14 +255,16 @@ fn check_reg_stagnation(trace: &Trace, report: &mut HealthReport) {
     // Effective λ_j per order, from the trainer's train.reg.lambda<j>
     // gauges (last reading wins). Orders with λ = 0 are exempt: nothing
     // is pushing their residual norms down.
-    let lambdas = gauge_trajectories(trace, |n| reg_order(n, "train.reg.lambda").is_some());
+    let lambdas = gauge_trajectories(&trace.events, |n| {
+        reg_order(n, "train.reg.lambda").is_some()
+    });
     let lambda_of = |j: usize| {
         lambdas
             .iter()
             .find(|(n, _, _)| reg_order(n, "train.reg.lambda") == Some(j))
             .map(|(_, _, last)| *last)
     };
-    let traj = gauge_trajectories(trace, |n| reg_order(n, "train.reg.r").is_some());
+    let traj = gauge_trajectories(&trace.events, |n| reg_order(n, "train.reg.r").is_some());
     if traj.is_empty() {
         report
             .lines
@@ -507,17 +468,5 @@ mod tests {
                 .any(|l| l.as_str().is_some_and(|s| s.contains("mean k grew"))),
             "warning line present"
         );
-    }
-
-    #[test]
-    fn snapshot_counters_feed_the_clamp_check() {
-        let body = concat!(
-            r#"{"seq":0,"name":"kernel.qact.requant.saturated","kind":"snapshot","value":200,"unit":"op","text":"{\"agg\":\"counter\",\"count\":2,\"sum\":200,\"min\":100,\"max\":100,\"last\":100}"}"#,
-            "\n",
-            r#"{"seq":1,"name":"kernel.qact.requant.quantized","kind":"snapshot","value":1000,"unit":"op","text":"{\"agg\":\"counter\",\"count\":2,\"sum\":1000,\"min\":500,\"max\":500,\"last\":500}"}"#,
-        );
-        let report = health(&parse_trace(body));
-        assert_eq!(report.warnings, 1, "{}", report.render());
-        assert!(report.render().contains("[requant]"), "{}", report.render());
     }
 }

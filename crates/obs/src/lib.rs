@@ -2,16 +2,14 @@
 //! [`flight_telemetry`].
 //!
 //! Every run in this workspace can write a JSONL telemetry trace
-//! (`FLIGHT_TELEMETRY=jsonl:run.jsonl`) and every bench exhibit writes a
-//! `BENCH_*.manifest.json` run manifest. This crate turns those files
-//! back into answers, through the `flightctl` binary:
+//! (`FLIGHT_TELEMETRY=jsonl:run.jsonl`) — one event per line, one shape
+//! for every reader below — and loadgen writes a serve run manifest.
+//! This crate turns those files back into answers, through the
+//! `flightctl` binary:
 //!
 //! * `flightctl summarize <trace>` — span table (count, total/self
 //!   time, p50/p95/max), top op counters, final `k_i` histogram, and
 //!   threshold trajectories ([`summarize`]).
-//! * `flightctl diff <baseline> <candidate>` — flatten two traces or
-//!   manifests into named metrics and compare under a relative
-//!   tolerance; nonzero exit on regression ([`diff`]).
 //! * `flightctl capacity <manifest> --qps N` — turn loadgen's measured
 //!   serve manifest into a replica/core sizing under a p99 bound,
 //!   reconciled against the analytic accelerator models ([`capacity`]).
@@ -46,7 +44,6 @@
 
 pub mod capacity;
 pub mod cli;
-pub mod diff;
 pub mod export;
 pub mod health;
 pub mod profile;
@@ -59,7 +56,6 @@ pub mod watch;
 
 pub use capacity::{plan_capacity, CapacityError, CapacityPlan, CapacityRequest};
 pub use cli::{parse_cli, ParsedArgs, EXIT_FAIL, EXIT_OK, EXIT_USAGE};
-pub use diff::{diff, load_metrics, DiffOptions, DiffReport};
 pub use export::{export_chrome, export_folded, ExportStats};
 pub use health::{health, HealthReport};
 pub use profile::{profile, ProfileOptions, ProfileState};

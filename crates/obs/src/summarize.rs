@@ -7,10 +7,9 @@
 //! mean-k drift) — and how trustworthy the file is (malformed lines,
 //! unclosed spans).
 //!
-//! Aggregated traces (written through `FLIGHT_TELEMETRY=agg:<spec>`)
-//! carry `snapshot` events instead of raw gauges/counters/span pairs;
-//! the summary folds the *last* snapshot per name into the same
-//! sections, since each snapshot covers the run so far.
+//! The two folds here — [`counter_totals`] and [`gauge_trajectories`] —
+//! are shared with `flightctl health`, so both commands read a trace the
+//! same way.
 
 use std::fmt::Write as _;
 
@@ -24,55 +23,6 @@ use crate::tree::SpanSummary;
 const TOP_COUNTERS: usize = 12;
 /// How many threshold trajectories the report prints before eliding.
 const MAX_TRAJECTORIES: usize = 24;
-
-/// The stats payload of one `snapshot` event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotStats {
-    /// `"counter"`, `"gauge"`, or `"span"`.
-    pub agg: String,
-    /// Events folded into this snapshot.
-    pub count: u64,
-    /// Sum of folded values.
-    pub sum: f64,
-    /// Smallest folded value.
-    pub min: f64,
-    /// Largest folded value.
-    pub max: f64,
-    /// Most recent folded value.
-    pub last: f64,
-}
-
-/// Parses the JSON stats payload a `snapshot` event carries in `text`.
-pub fn snapshot_stats(event: &TraceEvent) -> Option<SnapshotStats> {
-    if event.kind != EventKind::Snapshot {
-        return None;
-    }
-    let v = JsonValue::parse(event.text.as_deref()?).ok()?;
-    let num = |key: &str| v.get(key).and_then(JsonValue::as_f64);
-    Some(SnapshotStats {
-        agg: v.get("agg").and_then(JsonValue::as_str)?.to_string(),
-        count: num("count")? as u64,
-        sum: num("sum")?,
-        min: num("min").unwrap_or(f64::NAN),
-        max: num("max").unwrap_or(f64::NAN),
-        last: num("last").unwrap_or(f64::NAN),
-    })
-}
-
-/// Last snapshot per name with its parsed stats (snapshots accumulate,
-/// so the last one per name is the whole-run summary).
-pub fn last_snapshots(events: &[TraceEvent]) -> Vec<(&TraceEvent, SnapshotStats)> {
-    let mut out: Vec<(&TraceEvent, SnapshotStats)> = Vec::new();
-    for event in events {
-        if let Some(stats) = snapshot_stats(event) {
-            match out.iter_mut().find(|(e, _)| e.name == event.name) {
-                Some(slot) => *slot = (event, stats),
-                None => out.push((event, stats)),
-            }
-        }
-    }
-    out
-}
 
 /// The training signals worth eyeballing over time: per-threshold `t_j`
 /// values, the mean shift count, and the per-layer dynamics gauges the
@@ -88,14 +38,13 @@ fn is_training_signal(name: &str) -> bool {
 
 /// The kernel dispatch path a trace ran with, recovered from the
 /// `kernel.dispatch.<path>` gauge the engine emits once per traced
-/// forward (`None` for traces that predate the gauge). Aggregated
-/// traces carry the same name as a gauge snapshot; worker-prefixed
+/// forward (`None` for traces that predate the gauge). Worker-prefixed
 /// re-emissions match too, so the lookup keys on the substring. The
 /// last emission wins, matching the rest of the summary's
 /// final-state-per-name convention.
 pub fn kernel_dispatch(events: &[TraceEvent]) -> Option<&str> {
     events.iter().rev().find_map(|event| {
-        if !matches!(event.kind, EventKind::Gauge | EventKind::Snapshot) {
+        if event.kind != EventKind::Gauge {
             return None;
         }
         let at = event.name.find("kernel.dispatch.")?;
@@ -103,60 +52,44 @@ pub fn kernel_dispatch(events: &[TraceEvent]) -> Option<&str> {
     })
 }
 
-/// Counter totals per name: raw counters sum; counter snapshots
-/// contribute their final running sum. Returns `(name, total, unit)` in
-/// descending-total order.
-pub fn counter_totals(
-    events: &[TraceEvent],
-    snapshots: &[(&TraceEvent, SnapshotStats)],
-) -> Vec<(String, f64, String)> {
-    let mut totals: Vec<(String, f64, String)> = Vec::new();
-    let mut add =
-        |name: &str, delta: f64, unit: &str| match totals.iter_mut().find(|(n, _, _)| n == name) {
-            Some((_, t, _)) => *t += delta,
-            None => totals.push((name.to_string(), delta, unit.to_string())),
-        };
+/// Counter totals per name, `(name, total, unit)` in first-emission
+/// order; non-finite deltas are skipped.
+pub fn counter_totals(events: &[TraceEvent]) -> Vec<(&str, f64, &str)> {
+    let mut totals: Vec<(&str, f64, &str)> = Vec::new();
     for event in events {
-        if event.kind == EventKind::Counter && event.value.is_finite() {
-            add(&event.name, event.value, &event.unit);
+        if event.kind != EventKind::Counter || !event.value.is_finite() {
+            continue;
+        }
+        match totals.iter_mut().find(|(n, _, _)| *n == event.name) {
+            Some((_, total, _)) => *total += event.value,
+            None => totals.push((&event.name, event.value, &event.unit)),
         }
     }
-    for (event, stats) in snapshots {
-        if stats.agg == "counter" {
-            add(&event.name, stats.sum, &event.unit);
-        }
-    }
+    totals
+}
+
+/// [`counter_totals`] in descending-total order, as the report lists
+/// them.
+fn counters_by_total(events: &[TraceEvent]) -> Vec<(&str, f64, &str)> {
+    let mut totals = counter_totals(events);
     totals.sort_by(|a, b| b.1.total_cmp(&a.1));
     totals
 }
 
-/// First→last gauge trajectory per training-signal name (see
-/// [`is_training_signal`]); snapshot-only traces fall back to the last
-/// reading for both ends.
-pub fn training_trajectories<'a>(
-    events: &'a [TraceEvent],
-    snapshots: &[(&'a TraceEvent, SnapshotStats)],
-) -> Vec<(&'a str, f64, f64)> {
+/// First→last trajectory of every finite gauge whose name passes
+/// `filter`, `(name, first, last)` in first-emission order.
+pub fn gauge_trajectories(
+    events: &[TraceEvent],
+    filter: impl Fn(&str) -> bool,
+) -> Vec<(&str, f64, f64)> {
     let mut traj: Vec<(&str, f64, f64)> = Vec::new();
     for event in events {
-        if event.kind != EventKind::Gauge
-            || !event.value.is_finite()
-            || !is_training_signal(&event.name)
-        {
+        if event.kind != EventKind::Gauge || !event.value.is_finite() || !filter(&event.name) {
             continue;
         }
         match traj.iter_mut().find(|(n, _, _)| *n == event.name) {
             Some((_, _, last)) => *last = event.value,
             None => traj.push((&event.name, event.value, event.value)),
-        }
-    }
-    for (event, stats) in snapshots {
-        if stats.agg == "gauge"
-            && is_training_signal(&event.name)
-            && !traj.iter().any(|(n, _, _)| *n == event.name)
-        {
-            // Snapshots fold away the first reading; show last only.
-            traj.push((&event.name, stats.last, stats.last));
         }
     }
     traj
@@ -186,7 +119,6 @@ fn fmt_value(v: f64) -> String {
 pub fn summarize(trace: &Trace) -> String {
     let mut out = String::new();
     let spans = SpanSummary::from_events(&trace.events);
-    let snapshots = last_snapshots(&trace.events);
 
     let _ = writeln!(
         out,
@@ -205,11 +137,11 @@ pub fn summarize(trace: &Trace) -> String {
         );
     }
 
-    render_spans(&mut out, &spans, &snapshots);
-    render_counters(&mut out, &trace.events, &snapshots);
+    render_spans(&mut out, &spans);
+    render_counters(&mut out, &trace.events);
     render_histograms(&mut out, &trace.events);
     render_log2_histograms(&mut out, &trace.events);
-    render_trajectories(&mut out, &trace.events, &snapshots);
+    render_trajectories(&mut out, &trace.events);
     out
 }
 
@@ -219,7 +151,6 @@ pub fn summarize(trace: &Trace) -> String {
 /// No top-N elision — consumers filter for themselves.
 pub fn summarize_json(trace: &Trace) -> String {
     let spans = SpanSummary::from_events(&trace.events);
-    let snapshots = last_snapshots(&trace.events);
 
     let span_rows: Vec<JsonValue> = spans
         .by_total_time()
@@ -237,7 +168,7 @@ pub fn summarize_json(trace: &Trace) -> String {
                 .build()
         })
         .collect();
-    let counter_rows: Vec<JsonValue> = counter_totals(&trace.events, &snapshots)
+    let counter_rows: Vec<JsonValue> = counters_by_total(&trace.events)
         .into_iter()
         .map(|(name, total, unit)| {
             JsonObject::new()
@@ -247,7 +178,7 @@ pub fn summarize_json(trace: &Trace) -> String {
                 .build()
         })
         .collect();
-    let trajectory_rows: Vec<JsonValue> = training_trajectories(&trace.events, &snapshots)
+    let trajectory_rows: Vec<JsonValue> = gauge_trajectories(&trace.events, is_training_signal)
         .into_iter()
         .map(|(name, first, last)| {
             JsonObject::new()
@@ -273,13 +204,9 @@ pub fn summarize_json(trace: &Trace) -> String {
         .render()
 }
 
-fn render_spans(out: &mut String, spans: &SpanSummary, snapshots: &[(&TraceEvent, SnapshotStats)]) {
+fn render_spans(out: &mut String, spans: &SpanSummary) {
     let rows = spans.by_total_time();
-    let span_snaps: Vec<_> = snapshots
-        .iter()
-        .filter(|(e, s)| s.agg == "span" && !spans.names.contains(&e.name))
-        .collect();
-    if rows.iter().all(|(_, s)| s.count == 0) && span_snaps.is_empty() {
+    if rows.iter().all(|(_, s)| s.count == 0) {
         return;
     }
     let _ = writeln!(out, "\nspans (by total time):");
@@ -304,29 +231,10 @@ fn render_spans(out: &mut String, spans: &SpanSummary, snapshots: &[(&TraceEvent
             fmt_secs(stats.max())
         );
     }
-    // Aggregated traces: span snapshots carry count/total/min/max but no
-    // per-call durations, so the quantile columns stay blank.
-    for (event, stats) in span_snaps {
-        let _ = writeln!(
-            out,
-            "  {:<44} {:>7} {:>10} {:>10} {:>9} {:>9} {:>9}  (snapshot)",
-            event.name,
-            stats.count,
-            fmt_secs(stats.sum),
-            "-",
-            "-",
-            "-",
-            fmt_secs(stats.max)
-        );
-    }
 }
 
-fn render_counters(
-    out: &mut String,
-    events: &[TraceEvent],
-    snapshots: &[(&TraceEvent, SnapshotStats)],
-) {
-    let totals = counter_totals(events, snapshots);
+fn render_counters(out: &mut String, events: &[TraceEvent]) {
+    let totals = counters_by_total(events);
     if totals.is_empty() {
         return;
     }
@@ -344,7 +252,7 @@ fn render_counters(
 }
 
 fn render_histograms(out: &mut String, events: &[TraceEvent]) {
-    // Final histogram per name (later snapshots of the same histogram
+    // Final histogram per name (later emissions of the same histogram
     // replace earlier ones — e.g. train.k_hist per epoch).
     let mut finals: Vec<&TraceEvent> = Vec::new();
     for event in events {
@@ -418,12 +326,8 @@ fn render_log2_histograms(out: &mut String, events: &[TraceEvent]) {
     }
 }
 
-fn render_trajectories(
-    out: &mut String,
-    events: &[TraceEvent],
-    snapshots: &[(&TraceEvent, SnapshotStats)],
-) {
-    let traj = training_trajectories(events, snapshots);
+fn render_trajectories(out: &mut String, events: &[TraceEvent]) {
+    let traj = gauge_trajectories(events, is_training_signal);
     if traj.is_empty() {
         return;
     }
@@ -538,28 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_only_trace_still_summarizes() {
-        let body = concat!(
-            r#"{"seq":0,"name":"kernel.shifts","kind":"snapshot","value":500,"unit":"op","text":"{\"agg\":\"counter\",\"count\":5,\"sum\":500,\"min\":100,\"max\":100,\"last\":100}"}"#,
-            "\n",
-            r#"{"seq":1,"name":"kernel.shifts","kind":"snapshot","value":900,"unit":"op","text":"{\"agg\":\"counter\",\"count\":9,\"sum\":900,\"min\":100,\"max\":100,\"last\":100}"}"#,
-            "\n",
-            r#"{"seq":2,"name":"kernel.forward","kind":"snapshot","value":1.5,"unit":"s","text":"{\"agg\":\"span\",\"count\":3,\"sum\":1.5,\"min\":0.4,\"max\":0.6,\"last\":0.5}"}"#,
-            "\n",
-        );
-        let trace = parse_trace(body);
-        let report = summarize(&trace);
-        // Last snapshot per name wins — not 500+900.
-        assert!(report.contains("900"), "{report}");
-        assert!(
-            !report.contains("1400"),
-            "snapshots must not double-count: {report}"
-        );
-        assert!(report.contains("kernel.forward"), "{report}");
-        assert!(report.contains("(snapshot)"), "{report}");
-    }
-
-    #[test]
     fn json_summary_parses_and_mirrors_the_text_folds() {
         let trace = parse_trace(&synthetic_two_epoch_trace());
         let v = JsonValue::parse(&summarize_json(&trace)).expect("valid JSON");
@@ -615,7 +497,7 @@ mod tests {
         ]
         .join("\n");
         let trace = parse_trace(&body);
-        let traj = training_trajectories(&trace.events, &[]);
+        let traj = gauge_trajectories(&trace.events, is_training_signal);
         let names: Vec<&str> = traj.iter().map(|(n, _, _)| *n).collect();
         assert_eq!(
             names,
@@ -654,19 +536,5 @@ mod tests {
             v.get("kernel_dispatch").and_then(JsonValue::as_str),
             Some("scalar")
         );
-    }
-
-    #[test]
-    fn snapshot_stats_rejects_non_snapshots_and_bad_payloads() {
-        let trace = parse_trace(
-            r#"{"seq":0,"name":"g","kind":"gauge","value":1,"unit":""}
-{"seq":1,"name":"s","kind":"snapshot","value":1,"unit":"","text":"not json"}
-{"seq":2,"name":"t","kind":"snapshot","value":1,"unit":""}
-"#,
-        );
-        assert_eq!(trace.events.len(), 3);
-        assert!(snapshot_stats(&trace.events[0]).is_none());
-        assert!(snapshot_stats(&trace.events[1]).is_none());
-        assert!(snapshot_stats(&trace.events[2]).is_none());
     }
 }

@@ -37,9 +37,9 @@ pub struct TraceEvent {
     pub unit: String,
     /// Span id, for span events.
     pub span: Option<u64>,
-    /// `(bucket label, count)` pairs, for histogram/snapshot events.
+    /// `(bucket label, count)` pairs, for histogram events.
     pub buckets: Vec<(String, u64)>,
-    /// Free-form payload (manifest JSON, snapshot stats).
+    /// Free-form payload (manifest JSON, log2 histogram stats).
     pub text: Option<String>,
 }
 
@@ -185,6 +185,18 @@ mod tests {
         assert!(parse_event(r#"{"seq":0,"name":"g","kind":"vibe","value":1}"#).is_none());
         assert!(parse_event(r#"{"seq":0,"name":"g","kind":"gauge","value":"high"}"#).is_none());
         assert!(parse_event("not json at all").is_none());
+        // The retired `snapshot` kind is just another unknown kind: an
+        // old aggregated line is skipped and counted, never folded.
+        let body = concat!(
+            r#"{"seq":0,"name":"kernel.shifts","kind":"snapshot","value":900,"unit":"op","text":"{\"agg\":\"counter\",\"count\":9,\"sum\":900}"}"#,
+            "\n",
+            r#"{"seq":1,"name":"kernel.shifts","kind":"counter","value":100,"unit":"op"}"#,
+            "\n",
+        );
+        let trace = parse_trace(body);
+        assert_eq!(trace.malformed, 1);
+        assert_eq!(trace.events.len(), 1);
+        assert_eq!(trace.events[0].kind, EventKind::Counter);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! * **Truncated tails** — a killed run leaves `span_start`s with no
 //!   matching end; they are counted in [`SpanSummary::unclosed`] and
 //!   excluded from the timing stats (their duration is unknown).
-//! * **Orphan ends** — concatenated runs restart span ids, and
-//!   aggregated traces drop starts entirely; a `span_end` with no
-//!   recorded start still folds into the stats (the end event carries
-//!   the duration) and is counted in [`SpanSummary::orphan_ends`].
+//! * **Orphan ends** — concatenated runs restart span ids, so a
+//!   `span_end` can arrive with no recorded start; it still folds into
+//!   the stats (the end event carries the duration) and is counted in
+//!   [`SpanSummary::orphan_ends`].
 //! * **Interleaving** — parallel workers emit into one sink, so spans
 //!   do not close in stack order. Pairing is by span id, and parentage
 //!   is whatever span was innermost *when the child started*, which is
@@ -82,8 +82,8 @@ pub struct SpanSummary {
     /// Spans started but never ended — a truncated tail (or a run
     /// killed mid-flight).
     pub unclosed: u64,
-    /// Ends with no recorded start — concatenated runs or aggregated
-    /// traces; their durations still count.
+    /// Ends with no recorded start — concatenated runs; their durations
+    /// still count.
     pub orphan_ends: u64,
 }
 
@@ -238,7 +238,7 @@ mod tests {
 
     #[test]
     fn orphan_ends_still_fold_their_durations() {
-        // Aggregate-style trace: ends only, ids unseen.
+        // The tail of a concatenated trace: ends only, ids unseen.
         let events = vec![end(0, "chunk", 9, 0.25), end(1, "chunk", 11, 0.75)];
         let s = SpanSummary::from_events(&events);
         assert_eq!(s.orphan_ends, 2);

@@ -158,7 +158,7 @@ impl WatchState {
                     self.epochs_completed += 1;
                 }
             }
-            EventKind::Gauge | EventKind::Snapshot => self.observe_reading(event),
+            EventKind::Gauge => self.observe_reading(event),
             EventKind::Counter => {
                 self.observe_reading(event);
                 let name = &event.name;

@@ -58,12 +58,6 @@ fn trace_body() -> String {
     lines.join("\n") + "\n"
 }
 
-fn manifest_body(throughput: f64, parity: bool) -> String {
-    format!(
-        r#"{{"schema_version":2,"exhibit":"lowering","profile":null,"git_describe":"test","elapsed_secs":1.0,"tables":[],"parity":{parity},"metrics":{{"schema_version":2,"parity":{parity},"tables.shift_conv.lowered.throughput":{throughput}}}}}"#
-    )
-}
-
 #[test]
 fn summarize_renders_every_section_and_exits_zero() {
     let path = write_temp("summarize", &trace_body());
@@ -94,93 +88,6 @@ fn summarize_skips_and_counts_a_truncated_trace() {
     assert!(text.contains("1 malformed lines skipped"), "{text}");
     assert!(text.contains("unclosed span"), "{text}");
     std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn diff_gates_identical_and_perturbed_manifests() {
-    let base = write_temp("diff-base", &manifest_body(100.0, true));
-    let same = write_temp("diff-same", &manifest_body(100.0, true));
-    let worse = write_temp("diff-worse", &manifest_body(80.0, true));
-
-    let ok = flightctl(&[
-        "diff",
-        base.to_str().unwrap(),
-        same.to_str().unwrap(),
-        "--tolerance",
-        "0",
-    ]);
-    assert_eq!(ok.status.code(), Some(0), "{}", stdout(&ok));
-
-    // A 20% throughput drop fails the default 5% gate…
-    let bad = flightctl(&["diff", base.to_str().unwrap(), worse.to_str().unwrap()]);
-    assert_eq!(bad.status.code(), Some(1), "{}", stdout(&bad));
-    assert!(stdout(&bad).contains("REGRESSION"), "{}", stdout(&bad));
-
-    // …is absorbed by a loose tolerance…
-    let loose = flightctl(&[
-        "diff",
-        base.to_str().unwrap(),
-        worse.to_str().unwrap(),
-        "--tolerance=0.25",
-    ]);
-    assert_eq!(loose.status.code(), Some(0), "{}", stdout(&loose));
-
-    // …and is invisible when the gate only watches stable metrics.
-    let gated = flightctl(&[
-        "diff",
-        base.to_str().unwrap(),
-        worse.to_str().unwrap(),
-        "--tolerance",
-        "0",
-        "--metrics",
-        "parity,schema_version",
-    ]);
-    assert_eq!(gated.status.code(), Some(0), "{}", stdout(&gated));
-
-    for p in [base, same, worse] {
-        std::fs::remove_file(&p).ok();
-    }
-}
-
-#[test]
-fn diff_fails_when_the_candidate_loses_parity() {
-    let base = write_temp("parity-base", &manifest_body(100.0, true));
-    let broken = write_temp("parity-broken", &manifest_body(100.0, false));
-    let out = flightctl(&[
-        "diff",
-        base.to_str().unwrap(),
-        broken.to_str().unwrap(),
-        "--tolerance",
-        "0",
-        "--metrics",
-        "parity",
-    ]);
-    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
-    std::fs::remove_file(&base).ok();
-    std::fs::remove_file(&broken).ok();
-}
-
-#[test]
-fn diff_compares_traces_too() {
-    let a = write_temp("trace-a", &trace_body());
-    let b = write_temp("trace-b", &trace_body());
-    let out = flightctl(&[
-        "diff",
-        a.to_str().unwrap(),
-        b.to_str().unwrap(),
-        "--tolerance",
-        "0",
-        "--metrics",
-        "counter.,gauge.",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
-    assert!(
-        stdout(&out).contains("counter.kernel.shifts"),
-        "{}",
-        stdout(&out)
-    );
-    std::fs::remove_file(&a).ok();
-    std::fs::remove_file(&b).ok();
 }
 
 #[test]
@@ -358,12 +265,7 @@ fn usage_and_io_errors_exit_two() {
             .code(),
         Some(2)
     );
-    assert_eq!(flightctl(&["diff", "only-one-path"]).status.code(), Some(2));
-    assert_eq!(
-        flightctl(&["diff", "a", "b", "--tolerance", "-1"])
-            .status
-            .code(),
-        Some(2)
-    );
+    // The retired run comparator is an unknown subcommand now.
+    assert_eq!(flightctl(&["diff", "a", "b"]).status.code(), Some(2));
     assert_eq!(flightctl(&["help"]).status.code(), Some(0));
 }

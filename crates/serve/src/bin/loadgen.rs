@@ -21,8 +21,7 @@
 //! `serve` block (QPS, p50/p99/p999, reject/error counts, server-side
 //! stats) and a `scaling` block in the exact shape `flightctl capacity`
 //! consumes — so the serving tier can be capacity-planned from measured
-//! numbers, and `flightctl diff` can gate QPS/latency regressions
-//! against a baseline manifest. The `serve` block distinguishes
+//! numbers. The `serve` block distinguishes
 //! `offered_qps` (every attempt the closed-loop clients made, including
 //! rejections and failures) from `achieved_qps` (successful replies
 //! only); a widening gap between the two is the backpressure signal.

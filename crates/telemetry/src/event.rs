@@ -26,13 +26,6 @@ pub enum EventKind {
     Log2Hist,
     /// A run manifest annotation; `text` carries the manifest JSON.
     Manifest,
-    /// A streaming aggregate of many prior events (one metric name per
-    /// snapshot event): `value` is the aggregate headline (last gauge
-    /// reading, counter sum, or total span seconds), `buckets` holds the
-    /// nonzero magnitude-decade histogram buckets, and `text` carries a
-    /// JSON object with `agg`/`count`/`sum`/`min`/`max`/`last`. Emitted
-    /// by [`AggregatingSink`](crate::AggregatingSink).
-    Snapshot,
 }
 
 impl EventKind {
@@ -46,7 +39,6 @@ impl EventKind {
             EventKind::Histogram => "histogram",
             EventKind::Log2Hist => "log2hist",
             EventKind::Manifest => "manifest",
-            EventKind::Snapshot => "snapshot",
         }
     }
 
@@ -61,7 +53,6 @@ impl EventKind {
             "histogram" => EventKind::Histogram,
             "log2hist" => EventKind::Log2Hist,
             "manifest" => EventKind::Manifest,
-            "snapshot" => EventKind::Snapshot,
             _ => return None,
         })
     }
@@ -217,7 +208,6 @@ mod tests {
             EventKind::Histogram,
             EventKind::Log2Hist,
             EventKind::Manifest,
-            EventKind::Snapshot,
         ] {
             assert_eq!(EventKind::parse(kind.as_str()), Some(kind));
         }

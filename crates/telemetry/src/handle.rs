@@ -16,13 +16,6 @@ static NEXT_SEQ: AtomicU64 = AtomicU64::new(0);
 /// Span ids; 0 is reserved for disabled spans.
 static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 
-/// Allocates the next global sequence number. Sinks that synthesize
-/// events (the aggregating sink's snapshots) draw from the same counter
-/// as [`Telemetry`], so snapshots interleave correctly with raw events.
-pub(crate) fn next_seq() -> u64 {
-    NEXT_SEQ.fetch_add(1, Ordering::Relaxed)
-}
-
 /// The process trace epoch: the instant of the first timestamp request.
 static TRACE_EPOCH: OnceLock<Instant> = OnceLock::new();
 
@@ -115,42 +108,26 @@ impl Telemetry {
         match spec.trim() {
             "" | "null" | "none" | "off" => Telemetry::null(),
             "stderr" => Telemetry::stderr(),
-            other => {
-                // `agg:<inner>` wraps any other spec in an
-                // AggregatingSink: raw gauges/counters/spans fold into
-                // periodic snapshot events instead of reaching the
-                // inner sink one by one.
-                if let Some(inner_spec) = other.strip_prefix("agg:") {
-                    let inner = Telemetry::from_spec(inner_spec);
-                    if !inner.enabled() {
-                        return Telemetry::null();
-                    }
-                    return Telemetry::new(Arc::new(crate::agg::AggregatingSink::new(
-                        inner.sink,
-                        crate::agg::DEFAULT_SNAPSHOT_EVERY,
-                    )));
-                }
-                match other.strip_prefix("jsonl:") {
-                    Some(path) if !path.is_empty() => match Telemetry::jsonl(path) {
-                        Ok(t) => t,
-                        Err(e) => {
-                            eprintln!(
-                                "[flight-telemetry] cannot open {path:?} for appending ({e}); \
-                                 telemetry disabled"
-                            );
-                            Telemetry::null()
-                        }
-                    },
-                    _ => {
+            other => match other.strip_prefix("jsonl:") {
+                Some(path) if !path.is_empty() => match Telemetry::jsonl(path) {
+                    Ok(t) => t,
+                    Err(e) => {
                         eprintln!(
-                            "[flight-telemetry] unknown {}={other:?} (expected \
-                             stderr | jsonl:<path> | agg:<spec> | null); telemetry disabled",
-                            Telemetry::ENV_VAR
+                            "[flight-telemetry] cannot open {path:?} for appending ({e}); \
+                             telemetry disabled"
                         );
                         Telemetry::null()
                     }
+                },
+                _ => {
+                    eprintln!(
+                        "[flight-telemetry] unknown {}={other:?} (expected \
+                         stderr | jsonl:<path> | null); telemetry disabled",
+                        Telemetry::ENV_VAR
+                    );
+                    Telemetry::null()
                 }
-            }
+            },
         }
     }
 
@@ -187,7 +164,7 @@ impl Telemetry {
         text: Option<String>,
     ) {
         self.sink.emit(Event {
-            seq: next_seq(),
+            seq: NEXT_SEQ.fetch_add(1, Ordering::Relaxed),
             ts_us: trace_now_us(),
             name: name.to_string(),
             kind,
@@ -472,29 +449,14 @@ mod tests {
         // Unknown values fall back to disabled instead of failing.
         assert!(!Telemetry::from_spec("sqlite:events.db").enabled());
         assert!(!Telemetry::from_spec("jsonl:").enabled());
-    }
-
-    #[test]
-    fn agg_spec_wraps_the_inner_sink_and_stays_null_when_inner_is() {
-        // A disabled inner spec disables the whole chain.
-        assert!(!Telemetry::from_spec("agg:null").enabled());
-        assert!(!Telemetry::from_spec("agg:sqlite:events.db").enabled());
-        // A live inner spec yields a live aggregating chain whose file
-        // output is snapshot events, not raw gauges.
+        // The retired aggregating wrapper is just another unknown spec:
+        // it warns and disables instead of writing a folded trace.
         let path = std::env::temp_dir().join(format!(
-            "flight-telemetry-agg-spec-{}.jsonl",
+            "flight-telemetry-retired-spec-{}.jsonl",
             std::process::id()
         ));
-        let t = Telemetry::from_spec(&format!("agg:jsonl:{}", path.display()));
-        assert!(t.enabled());
-        for _ in 0..8 {
-            t.gauge("loss", 0.5, "nats");
-        }
-        drop(t); // Drop flushes the aggregator.
-        let text = std::fs::read_to_string(&path).expect("snapshots written");
-        assert!(text.contains("\"snapshot\""), "folded output: {text}");
-        assert_eq!(text.matches("\"loss\"").count(), 1, "one line per name");
-        std::fs::remove_file(&path).ok();
+        assert!(!Telemetry::from_spec(&format!("agg:jsonl:{}", path.display())).enabled());
+        assert!(!path.exists(), "no trace file is opened");
     }
 
     #[test]

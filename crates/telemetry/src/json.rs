@@ -6,6 +6,15 @@
 //! tests that validate both share one implementation instead of pulling
 //! in a serializer the workspace does not otherwise need.
 
+/// The deepest array/object nesting [`JsonValue::parse`] accepts.
+///
+/// The parser recurses once per nesting level, and the serve protocol
+/// parses every client frame with it, so without a cap one frame of
+/// ~10k `[` bytes overflows a connection thread's stack and aborts the
+/// process. Every document this workspace writes (events, manifests,
+/// swap specs, profiles) nests fewer than 10 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON document node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -100,11 +109,13 @@ impl JsonValue {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first syntax error.
+    /// Returns a human-readable description of the first syntax error,
+    /// or of nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.parse_value()?;
@@ -243,6 +254,8 @@ fn render_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -275,8 +288,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             Some(other) => Err(format!(
                 "unexpected byte '{}' at {}",
@@ -284,6 +297,24 @@ impl<'a> Parser<'a> {
             )),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Runs one container parser one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self)?;
+        self.depth -= 1;
+        Ok(value)
     }
 
     fn parse_keyword(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
@@ -561,6 +592,23 @@ mod tests {
             v = items[0].clone();
         }
         assert_eq!(v.as_f64(), Some(1.0));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // Objects count toward the same budget as arrays.
+        let mixed = "{\"k\":[".repeat(MAX_DEPTH / 2) + &"]}".repeat(MAX_DEPTH / 2);
+        assert!(JsonValue::parse(&mixed).is_ok());
+        let deeper = "[".to_string() + &mixed + "]";
+        assert!(JsonValue::parse(&deeper).is_err());
+        // A hostile frame's worth of open brackets fails on the default
+        // 2 MiB test-thread stack instead of overflowing it.
+        assert!(JsonValue::parse(&"[".repeat(1_000_000)).is_err());
+        assert!(JsonValue::parse(&"{\"a\":".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -15,10 +15,6 @@
 //!   file). [`CollectingSink`] buffers events in memory for tests, and
 //!   [`PrefixSink`] renames events for per-worker attribution (built
 //!   via [`Telemetry::with_prefix`]).
-//! * [`AggregatingSink`] — wraps any sink and folds counters, gauges,
-//!   and span timings into per-name streaming summaries emitted as
-//!   periodic `snapshot` events, so long runs produce O(metric names)
-//!   lines instead of O(events).
 //! * [`Telemetry`] — a cheap, clonable handle (`Arc<dyn TelemetrySink>`)
 //!   threaded through config structs. Every emitting method early-returns
 //!   without allocating when the sink is disabled, so instrumented hot
@@ -47,8 +43,9 @@
 //! * [`frame`] — the length-prefixed wire framing ([`write_frame`] /
 //!   [`read_frame`]) the serve protocol and its clients share.
 //! * [`json`] — a minimal JSON value with render *and* parse, shared by
-//!   the JSONL sink, the bench run manifests, and the tests that validate
-//!   both.
+//!   the JSONL sink, the bench run manifests, the serve protocol, and the
+//!   tests that validate them; parsing refuses nesting deeper than
+//!   [`json::MAX_DEPTH`], so hostile input cannot exhaust the stack.
 //! * [`track`] — the `kernel.worker.<ww>.` naming convention that pins
 //!   parallel producers to timeline tracks ([`worker_prefix`] on the
 //!   write side, [`parse_worker`] in `flightctl export`).
@@ -62,7 +59,6 @@
 //! | unset / `""` / `null` / `none` / `off` | [`NullSink`] |
 //! | `stderr`             | [`StderrSink`] |
 //! | `jsonl:<path>`       | [`JsonlSink`] appending to `<path>` |
-//! | `agg:<spec>`         | [`AggregatingSink`] wrapping the sink `<spec>` selects (e.g. `agg:jsonl:run.jsonl`) |
 //!
 //! Unknown values (and unopenable JSONL paths) warn once on stderr and
 //! fall back to the null sink, so a typo never aborts a long training
@@ -85,7 +81,6 @@
 //! assert_eq!(events[2].kind, EventKind::SpanEnd);
 //! ```
 
-pub mod agg;
 pub mod event;
 pub mod frame;
 pub mod hist;
@@ -100,7 +95,6 @@ pub mod windowed;
 
 mod handle;
 
-pub use agg::AggregatingSink;
 pub use event::{Event, EventKind};
 pub use frame::{read_frame, write_frame, MAX_FRAME};
 pub use handle::{trace_now_us, Span, Telemetry};
