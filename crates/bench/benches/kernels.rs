@@ -42,8 +42,8 @@ fn bench_conv_kernels(c: &mut Criterion) {
         };
         let mut rng = TensorRng::seed(42);
         let mut conv = QuantConv2d::new(&mut rng, &scheme, 16, 32, 3, 1, 1);
-        conv.shadow_mut().value = w.clone();
-        let plan = shift_plan(&mut conv);
+        conv.weights_mut().shadow_mut().value = w.clone();
+        let plan = shift_plan(conv.weights_mut());
         let kernel = ShiftKernel::compile(&plan, &[32, 16, 3, 3]);
         group.bench_with_input(BenchmarkId::new("shift_add", k), &kernel, |b, kern| {
             b.iter(|| shift_add_conv(&qa, kern, 1, 1))
@@ -61,7 +61,7 @@ fn bench_kernel_lowering(c: &mut Criterion) {
     let x = uniform(&mut rng, &[LANES, 32, 32, 32], -1.0, 1.0);
     let qa = QuantActivations::quantize(&x, 8);
     let mut conv = QuantConv2d::new(&mut rng, &QuantScheme::l2(), 32, 32, 3, 1, 1);
-    let plan = shift_plan(&mut conv);
+    let plan = shift_plan(conv.weights_mut());
     let kernel = ShiftKernel::compile(&plan, &[32, 32, 3, 3]);
 
     let mut group = c.benchmark_group("kernel_lowering");

@@ -48,7 +48,7 @@ fn main() {
     let scheme = QuantScheme::l2();
     let mut rng = TensorRng::seed(profile.seed);
     let mut conv = QuantConv2d::new(&mut rng, &scheme, CHANNELS, FILTERS, 3, 1, 1);
-    let plan = shift_plan(&mut conv);
+    let plan = shift_plan(conv.weights_mut());
     let kernel = ShiftKernel::compile(&plan, &[FILTERS, CHANNELS, 3, 3]);
     let x = uniform(&mut rng, &[batch, CHANNELS, SIDE, SIDE], -1.0, 1.0);
     let qa = QuantActivations::quantize(&x, 8);

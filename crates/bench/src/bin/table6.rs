@@ -17,7 +17,7 @@ fn trained_mean_k(id: u8, scheme: &QuantScheme, largest_idx: usize, telemetry: &
     let (mut net, _) = train_model(&cfg, scheme, &data, &profile, telemetry);
     let mut per_layer = Vec::new();
     net.visit_quant_convs(&mut |c| {
-        let counts = c.filter_shift_counts();
+        let counts = c.weights_mut().filter_shift_counts();
         per_layer.push(if counts.is_empty() {
             2.0
         } else {

@@ -150,7 +150,7 @@ fn probe_int_engine(net: &mut QuantNet, data: &SyntheticDataset, telemetry: &Tel
 fn per_layer_mean_k(net: &mut QuantNet) -> Vec<Option<f32>> {
     let mut out = Vec::new();
     net.visit_quant_convs(&mut |c| {
-        let counts = c.filter_shift_counts();
+        let counts = c.weights_mut().filter_shift_counts();
         if counts.is_empty() {
             out.push(None);
         } else {

@@ -571,7 +571,7 @@ mod tests {
         let mut net = cfg.build(&QuantScheme::l1(), &mut rng, 10, [3, 16, 16], 0.25);
         let mut shapes = Vec::new();
         net.visit_quant_convs(&mut |c| {
-            let d = c.shadow().value.dims().to_vec();
+            let d = c.weights().shadow().value.dims().to_vec();
             shapes.push(d);
         });
         assert_eq!(shapes.len(), plan.len());

@@ -4,14 +4,16 @@
 //! This is how FLightNNs map onto LightNN-1 hardware: level `j` of the
 //! quantizer contributes the rounded residual `R(r_{i,j})`, which is a
 //! filter whose every coefficient is a single power of two (or zero), and
-//! the level outputs are summed per feature map. The [`ShiftPlan`]
-//! produced here is also the representation the shift-add inference
-//! kernels (`flight-kernels`) and the hardware models consume.
+//! the level outputs are summed per feature map. [`shift_plan`] expands
+//! a layer's [`QuantWeights`] core, so a conv and a linear layer (a 1×1
+//! conv whose rows are its filters) go through the same call. The
+//! [`ShiftPlan`] produced here is also the representation the shift-add
+//! inference kernels (`flight-kernels`) and the hardware models consume.
 
 use flight_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-use crate::layers::QuantConv2d;
+use crate::layers::{QuantConv2d, QuantWeights};
 use crate::pow2::{pow2_exponent, BITS_PER_TERM};
 
 /// One single-shift subfilter: every coefficient is `±2^e` or zero.
@@ -91,70 +93,54 @@ impl ShiftPlan {
     }
 }
 
-/// Expands a FLightNN (or LightNN) conv layer into its Fig. 3 plan from
-/// the layer's most recent quantization traces.
+/// Expands the weights of a FLightNN (or LightNN) conv or linear layer
+/// into its Fig. 3 plan. A linear layer's rows are its filters, so it
+/// expands as a 1×1 conv.
 ///
-/// The layer is quantized on demand if it has no traces yet.
+/// The weights are quantized afresh (exactly once), so the plan reflects
+/// the current shadow weights and thresholds.
 ///
 /// # Panics
 ///
-/// Panics if the layer's scheme has no quantization traces (Full or
-/// FixedPoint layers have no shift structure to expand).
-pub fn shift_plan(conv: &mut QuantConv2d) -> ShiftPlan {
-    // Force a (re-)quantization so the traces reflect current weights.
-    let q = conv.quantize_weights();
-    let counts = conv.filter_shift_counts();
+/// Panics if the layer is not shift-based (Full or FixedPoint layers
+/// have no shift structure to expand).
+pub fn shift_plan(weights: &mut QuantWeights) -> ShiftPlan {
     assert!(
-        !counts.is_empty(),
+        weights.is_shift_based(),
         "shift_plan needs a shift-based layer (LightNN or FLightNN)"
     );
-    shift_plan_for(&q, &counts)
-}
-
-/// Builds the Fig. 3 plan directly from an already-quantized weight
-/// tensor (axis 0 = filters/rows) and its per-filter shift counts. Used
-/// for linear layers (rows as filters) and by the integer inference
-/// compiler.
-///
-/// # Panics
-///
-/// Panics if `ki_per_filter` does not match the filter axis.
-pub fn shift_plan_for(q: &Tensor, ki_per_filter: &[usize]) -> ShiftPlan {
-    let filters = q.dims()[0];
-    assert_eq!(
-        ki_per_filter.len(),
-        filters,
-        "need one k_i per filter: {} != {filters}",
-        ki_per_filter.len()
-    );
-    let filter_len = q.len() / filters.max(1);
-
-    let mut plans = Vec::with_capacity(filters);
-    for (i, &ki) in ki_per_filter.iter().enumerate() {
-        let coeffs = q.outer(i);
-        // Re-derive level contributions greedily from the quantized values:
-        // level j takes the power-of-two rounding of the remaining value.
-        // This reproduces the trace's R(r_j) because quantization itself
-        // was greedy.
-        let mut remaining: Vec<f32> = coeffs.to_vec();
-        let mut subfilters = Vec::with_capacity(ki);
-        for _ in 0..ki {
-            let level: Vec<f32> = remaining
-                .iter()
-                .map(|&c| crate::pow2::round_pow2(c))
+    weights.quantize();
+    let counts = weights.filter_shift_counts();
+    let q = weights.quantized();
+    let filters = counts
+        .iter()
+        .enumerate()
+        .map(|(i, &ki)| {
+            // Re-derive level contributions greedily from the quantized
+            // values: level j takes the power-of-two rounding of the
+            // remaining value. This reproduces the trace's R(r_j) because
+            // quantization itself was greedy.
+            let mut remaining = q.outer(i).to_vec();
+            let subfilters = (0..ki)
+                .map(|_| {
+                    let level: Vec<f32> = remaining
+                        .iter()
+                        .map(|&c| crate::pow2::round_pow2(c))
+                        .collect();
+                    for (r, &l) in remaining.iter_mut().zip(&level) {
+                        *r -= l;
+                    }
+                    SubFilter {
+                        coefficients: level,
+                    }
+                })
                 .collect();
-            for (r, &l) in remaining.iter_mut().zip(&level) {
-                *r -= l;
-            }
-            subfilters.push(SubFilter {
-                coefficients: level,
-            });
-        }
-        plans.push(FilterPlan { subfilters });
-    }
+            FilterPlan { subfilters }
+        })
+        .collect();
     ShiftPlan {
-        filters: plans,
-        filter_len,
+        filters,
+        filter_len: q.len() / q.dims()[0],
     }
 }
 
@@ -166,10 +152,10 @@ pub fn shift_plan_for(q: &Tensor, ki_per_filter: &[usize]) -> ShiftPlan {
 pub fn verify_equivalence(conv: &mut QuantConv2d, input: &Tensor) -> f32 {
     use flight_nn::layers::functional::conv2d_forward;
 
-    let plan = shift_plan(conv);
+    let plan = shift_plan(conv.weights_mut());
     let stride = conv.stride();
     let padding = conv.padding();
-    let q = conv.quantized_weights();
+    let q = conv.weights_mut().quantized().clone();
     let dims = q.dims().to_vec();
     let bias = Tensor::zeros(&[dims[0]]);
 
@@ -213,7 +199,7 @@ mod tests {
     fn subfilters_are_single_shift() {
         let mut rng = TensorRng::seed(21);
         let mut conv = QuantConv2d::new(&mut rng, &QuantScheme::flight(1e-5), 2, 4, 3, 1, 1);
-        let plan = shift_plan(&mut conv);
+        let plan = shift_plan(conv.weights_mut());
         assert_eq!(plan.filters.len(), 4);
         for f in &plan.filters {
             for s in &f.subfilters {
@@ -226,8 +212,8 @@ mod tests {
     fn plan_reconstructs_quantized_weights() {
         let mut rng = TensorRng::seed(22);
         let mut conv = QuantConv2d::new(&mut rng, &QuantScheme::l2(), 2, 3, 3, 1, 1);
-        let plan = shift_plan(&mut conv);
-        let q = conv.quantized_weights();
+        let plan = shift_plan(conv.weights_mut());
+        let q = conv.weights_mut().quantized();
         for (i, f) in plan.filters.iter().enumerate() {
             let rec = f.reconstruct(plan.filter_len);
             for (&a, &b) in rec.iter().zip(q.outer(i)) {
@@ -255,7 +241,7 @@ mod tests {
     fn l1_has_no_extra_adds() {
         let mut rng = TensorRng::seed(24);
         let mut conv = QuantConv2d::new(&mut rng, &QuantScheme::l1(), 2, 4, 3, 1, 1);
-        let plan = shift_plan(&mut conv);
+        let plan = shift_plan(conv.weights_mut());
         assert_eq!(plan.extra_feature_map_adds(), 0);
         assert_eq!(plan.total_subfilters(), 4);
     }
@@ -265,8 +251,9 @@ mod tests {
         let mut rng = TensorRng::seed(25);
         let mut fl = QuantConv2d::new(&mut rng, &QuantScheme::flight(1e-5), 2, 8, 3, 1, 1);
         // Push level-1 threshold up so some filters drop to one shift.
-        fl.thresholds_mut().unwrap().value = flight_tensor::Tensor::from_slice(&[0.0, 0.35]);
-        let plan = shift_plan(&mut fl);
+        fl.weights_mut().thresholds_mut().unwrap().value =
+            flight_tensor::Tensor::from_slice(&[0.0, 0.35]);
+        let plan = shift_plan(fl.weights_mut());
         assert!(
             plan.total_subfilters() < 16,
             "expected fewer than L-2's 16 subfilters, got {}",

@@ -183,14 +183,17 @@ mod tests {
     fn thresholds_survive_the_round_trip() {
         let mut a = build(3);
         a.visit_quant_convs(&mut |c| {
-            c.thresholds_mut().unwrap().value = T::from_slice(&[0.1, 0.2]);
+            c.weights_mut().thresholds_mut().unwrap().value = T::from_slice(&[0.1, 0.2]);
         });
         let mut buf = Vec::new();
         save_params(&mut a, &mut buf).unwrap();
         let mut b = build(4);
         load_params(&mut b, &mut buf.as_slice()).unwrap();
         b.visit_quant_convs(&mut |c| {
-            assert_eq!(c.thresholds().unwrap().value.as_slice(), &[0.1, 0.2]);
+            assert_eq!(
+                c.weights().thresholds().unwrap().value.as_slice(),
+                &[0.1, 0.2]
+            );
         });
     }
 

@@ -1,12 +1,15 @@
 //! Quantized network layers.
 //!
-//! [`QuantConv2d`] and [`QuantLinear`] implement Algorithm 1's data flow:
-//! full-precision *shadow* parameters are quantized on every forward
-//! pass, gradients are computed with respect to the quantized values, and
-//! the straight-through estimator routes them back onto the shadow
-//! weights (plus, for FLightNN, the sigmoid-relaxed rule routes them onto
-//! the thresholds). [`ActQuant`] quantizes activations to fixed point
-//! (the paper uses 8 bits everywhere except the full-precision baseline).
+//! [`QuantWeights`] implements Algorithm 1's data flow once, for both
+//! quantized layer types: full-precision *shadow* parameters are
+//! quantized on every forward pass, gradients are computed with respect
+//! to the quantized values, and the straight-through estimator routes
+//! them back onto the shadow weights (plus, for FLightNN, the
+//! sigmoid-relaxed rule routes them onto the thresholds). [`QuantConv2d`]
+//! and [`QuantLinear`] add only their geometry and float op around that
+//! core, reached through `weights()`/`weights_mut()`. [`ActQuant`]
+//! quantizes activations to fixed point (the paper uses 8 bits
+//! everywhere except the full-precision baseline).
 
 use flight_nn::layers::functional::{
     conv2d_backward, conv2d_forward, linear_backward, linear_forward, Conv2dCache, LinearCache,
@@ -111,13 +114,6 @@ enum WeightQuant {
 }
 
 impl WeightQuant {
-    fn fixed_point_bits(&self) -> Option<u32> {
-        match self {
-            WeightQuant::FixedPoint { bits } => Some(*bits),
-            _ => None,
-        }
-    }
-
     fn from_scheme(scheme: &QuantScheme) -> Self {
         match scheme {
             QuantScheme::Full => WeightQuant::Float,
@@ -192,51 +188,33 @@ impl Layer for ActQuant {
     }
 }
 
-/// A 2-D convolution whose weights pass through a quantizer on every
-/// forward pass.
+/// The quantized-weight core of one conv or linear layer: everything
+/// Algorithm 1 touches, written once for both layer types.
 ///
-/// Weight layout is `[filters, in_channels, k, k]`. For the FLightNN
-/// scheme the layer owns a trainable threshold vector `t ∈ R^{k_max}` and
-/// produces per-filter shift counts `k_i` as a side effect of every
-/// quantization (readable through [`QuantConv2d::filter_shift_counts`]).
-pub struct QuantConv2d {
+/// Axis 0 of the weight tensor indexes *filters* — a conv's output
+/// filters, a linear layer's output rows — and every per-filter quantity
+/// (shift counts `k_i`, traces, group-lasso groups) follows it. The core
+/// owns the full-precision shadow weights, the bias, the FLightNN
+/// threshold vector `t ∈ R^{k_max}`, the scheme's weight quantizer and
+/// activation bit width, the most recent quantization with its
+/// per-filter traces, and the per-epoch [`LayerTrainStats`].
+pub struct QuantWeights {
     shadow: Param,
     bias: Param,
     thresholds: Option<Param>,
     quant: WeightQuant,
-    stride: usize,
-    padding: usize,
-    cache: Option<Conv2dCache>,
+    act_bits: u32,
     last_quantized: Option<Tensor>,
     last_traces: Vec<FilterTrace>,
     train_stats: LayerTrainStats,
 }
 
-impl QuantConv2d {
-    /// Creates a quantized conv layer with Kaiming-uniform shadow weights,
-    /// zero bias, and (for FLightNN) thresholds initialized to zero — the
-    /// paper's initialization, which starts every filter at `k_i = k_max`
-    /// and quantizes gradually (§5.1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero or `stride == 0`.
-    pub fn new(
-        rng: &mut TensorRng,
-        scheme: &QuantScheme,
-        in_channels: usize,
-        filters: usize,
-        kernel: usize,
-        stride: usize,
-        padding: usize,
-    ) -> Self {
-        assert!(
-            in_channels > 0 && filters > 0 && kernel > 0,
-            "zero-sized conv"
-        );
-        assert!(stride > 0, "stride must be positive");
-        let fan_in = in_channels * kernel * kernel;
-        let shadow = kaiming_uniform(rng, &[filters, in_channels, kernel, kernel], fan_in);
+impl QuantWeights {
+    /// Wraps `shadow` (axis 0 = filters) with a zero bias and, for
+    /// FLightNN, zero thresholds — the paper's initialization, which
+    /// starts every filter at `k_i = k_max` and quantizes gradually
+    /// (§5.1).
+    fn new(shadow: Tensor, scheme: &QuantScheme) -> Self {
         let quant = WeightQuant::from_scheme(scheme);
         let thresholds = match &quant {
             WeightQuant::FLight { quantizer, .. } => {
@@ -244,21 +222,20 @@ impl QuantConv2d {
             }
             _ => None,
         };
-        QuantConv2d {
+        QuantWeights {
+            bias: Param::new(Tensor::zeros(&[shadow.dims()[0]])),
             shadow: Param::new(shadow),
-            bias: Param::new(Tensor::zeros(&[filters])),
             thresholds,
             quant,
-            stride,
-            padding,
-            cache: None,
+            act_bits: scheme.act_bits(),
             last_quantized: None,
             last_traces: Vec::new(),
             train_stats: LayerTrainStats::default(),
         }
     }
 
-    /// Number of output filters.
+    /// Number of filters (a conv's output filters, a linear layer's
+    /// output rows).
     pub fn filters(&self) -> usize {
         self.shadow.value.dims()[0]
     }
@@ -273,6 +250,11 @@ impl QuantConv2d {
         &mut self.shadow
     }
 
+    /// The bias parameter.
+    pub fn bias(&self) -> &Param {
+        &self.bias
+    }
+
     /// The threshold parameter, when the scheme is FLightNN.
     pub fn thresholds(&self) -> Option<&Param> {
         self.thresholds.as_ref()
@@ -283,31 +265,35 @@ impl QuantConv2d {
         self.thresholds.as_mut()
     }
 
-    /// The bias parameter.
-    pub fn bias(&self) -> &Param {
-        &self.bias
-    }
-
     /// The weight bit width of a fixed-point layer
     /// ([`QuantScheme::FixedPoint`]'s `weight_bits`); `None` under every
     /// other scheme.
     pub fn fixed_point_bits(&self) -> Option<u32> {
-        self.quant.fixed_point_bits()
+        match self.quant {
+            WeightQuant::FixedPoint { bits } => Some(bits),
+            _ => None,
+        }
     }
 
-    /// Stride of the convolution.
-    pub fn stride(&self) -> usize {
-        self.stride
+    /// Whether weights are sums of powers of two (LightNN or FLightNN),
+    /// i.e. whether the layer has shift counts and a Fig. 3 plan.
+    pub fn is_shift_based(&self) -> bool {
+        matches!(
+            self.quant,
+            WeightQuant::LightNn { .. } | WeightQuant::FLight { .. }
+        )
     }
 
-    /// Padding of the convolution.
-    pub fn padding(&self) -> usize {
-        self.padding
+    /// The scheme's activation bit width ([`QuantScheme::act_bits`]; 32
+    /// under `Full`): the width the layer's input is quantized to.
+    pub fn act_bits(&self) -> u32 {
+        self.act_bits
     }
 
-    /// Quantizes the current shadow weights, returning the effective
-    /// weight tensor (and refreshing the per-filter traces for FLightNN).
-    pub fn quantize_weights(&mut self) -> Tensor {
+    /// Quantizes the current shadow weights, stores the result as the
+    /// most recent quantization (refreshing the per-filter traces for
+    /// FLightNN) and returns it.
+    pub fn quantize(&mut self) -> &Tensor {
         let (q, traces) = match &self.quant {
             WeightQuant::Float => (self.shadow.value.clone(), Vec::new()),
             WeightQuant::FixedPoint { bits } => (
@@ -321,15 +307,22 @@ impl QuantConv2d {
                     .as_ref()
                     .expect("FLightNN layer always has thresholds")
                     .value
-                    .as_slice()
-                    .to_vec();
-                let (q, traces, _) = quantizer.quantize_tensor(&self.shadow.value, &t);
+                    .as_slice();
+                let (q, traces, _) = quantizer.quantize_tensor(&self.shadow.value, t);
                 (q, traces)
             }
         };
         self.last_traces = traces;
-        self.last_quantized = Some(q.clone());
-        q
+        self.last_quantized.insert(q)
+    }
+
+    /// The most recent quantized weight tensor (quantizing on demand if
+    /// none happened yet).
+    pub fn quantized(&mut self) -> &Tensor {
+        if self.last_quantized.is_none() {
+            self.quantize();
+        }
+        self.last_quantized.as_ref().expect("quantized above")
     }
 
     /// Per-filter shift counts `k_i` from the most recent quantization
@@ -344,7 +337,7 @@ impl QuantConv2d {
             WeightQuant::LightNn { k } => vec![*k; self.filters()],
             WeightQuant::FLight { .. } => {
                 if self.last_traces.is_empty() {
-                    self.quantize_weights();
+                    self.quantize();
                 }
                 self.last_traces.iter().map(|t| t.ki).collect()
             }
@@ -403,22 +396,10 @@ impl QuantConv2d {
         if !matches!(self.quant, WeightQuant::FLight { .. }) || reg.is_zero() || step <= 0.0 {
             return 0;
         }
-        let filters = self.filters();
         let window = crate::pow2::ExponentWindow::fit(self.shadow.value.as_slice());
-        let mut captures = 0;
-        for i in 0..filters {
-            captures += group_lasso_prox(self.shadow.value.outer_mut(i), reg, step, &window);
-        }
-        captures
-    }
-
-    /// The most recent quantized weight tensor (present after a forward
-    /// pass or an explicit [`QuantConv2d::quantize_weights`] call).
-    pub fn quantized_weights(&mut self) -> Tensor {
-        match &self.last_quantized {
-            Some(q) => q.clone(),
-            None => self.quantize_weights(),
-        }
+        (0..self.filters())
+            .map(|i| group_lasso_prox(self.shadow.value.outer_mut(i), reg, step, &window))
+            .sum()
     }
 
     /// Folds the currently accumulated shadow-weight gradient norm into
@@ -438,47 +419,40 @@ impl QuantConv2d {
     /// recent quantization (index `j` matches `λ_j`; empty for
     /// non-FLightNN layers or before any quantization).
     pub fn residual_norm_sums(&self) -> Vec<f64> {
-        residual_norm_sums(&self.last_traces)
-    }
-}
-
-impl std::fmt::Debug for QuantConv2d {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let d = self.shadow.value.dims();
-        write!(
-            f,
-            "QuantConv2d({}→{}, {}x{}, {:?})",
-            d[1], d[0], d[2], d[3], self.quant
-        )
-    }
-}
-
-impl Layer for QuantConv2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let q = self.quantize_weights();
-        let (out, cache) = conv2d_forward(
-            input,
-            &q,
-            &self.bias.value,
-            self.stride,
-            self.padding,
-            train,
-        );
-        self.last_quantized = Some(q);
-        self.cache = cache;
-        out
+        let levels = self
+            .last_traces
+            .iter()
+            .map(|t| t.norms.len())
+            .max()
+            .unwrap_or(0);
+        let mut sums = vec![0.0f64; levels];
+        for trace in &self.last_traces {
+            for (sum, &norm) in sums.iter_mut().zip(&trace.norms) {
+                *sum += norm as f64;
+            }
+        }
+        sums
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self
-            .cache
-            .take()
-            .expect("QuantConv2d::backward called without a training forward pass");
+    /// The forward half of a quantized layer: quantizes the weights, then
+    /// runs the layer's float op on `(quantized weights, bias)`.
+    fn forward_with<R>(&mut self, op: impl FnOnce(&Tensor, &Tensor) -> R) -> R {
+        self.quantize();
+        let q = self.last_quantized.as_ref().expect("quantized above");
+        op(q, &self.bias.value)
+    }
+
+    /// The backward half of a quantized layer: `op` maps the quantized
+    /// weights of the last forward to `(∂L/∂x, ∂L/∂w^q, ∂L/∂b)`; the STE
+    /// applies `∂L/∂w^q` to the shadow weights and, for FLightNN, the
+    /// sigmoid-relaxed rule routes it onto the thresholds (§4.2).
+    /// Returns `∂L/∂x`.
+    fn backward_with(&mut self, op: impl FnOnce(&Tensor) -> (Tensor, Tensor, Tensor)) -> Tensor {
         let q = self
             .last_quantized
             .as_ref()
             .expect("forward stores the quantized weights");
-        let (dx, dwq, db) = conv2d_backward(&cache, q, grad_out);
+        let (dx, dwq, db) = op(q);
         self.train_stats.observe_backward(
             dwq.as_slice(),
             q.as_slice(),
@@ -494,8 +468,7 @@ impl Layer for QuantConv2d {
             if let (Some(tp), false) = (self.thresholds.as_mut(), self.last_traces.is_empty()) {
                 let t = tp.value.as_slice().to_vec();
                 for (i, trace) in self.last_traces.iter().enumerate() {
-                    let upstream = dwq.outer(i);
-                    let tg = threshold_gradients(trace, &t, upstream, tau);
+                    let tg = threshold_gradients(trace, &t, dwq.outer(i), tau);
                     for (g, tg_j) in tp.grad.as_mut_slice().iter_mut().zip(tg) {
                         *g += tg_j;
                     }
@@ -505,6 +478,7 @@ impl Layer for QuantConv2d {
         dx
     }
 
+    /// Visits shadow, bias, then thresholds — the checkpoint order.
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
         visitor(&mut self.shadow);
         visitor(&mut self.bias);
@@ -512,209 +486,6 @@ impl Layer for QuantConv2d {
             visitor(t);
         }
     }
-
-    fn name(&self) -> String {
-        let d = self.shadow.value.dims();
-        format!("quant_conv2d({}→{}, {}x{})", d[1], d[0], d[2], d[3])
-    }
-}
-
-/// A fully connected layer with the same quantization machinery as
-/// [`QuantConv2d`]; each output neuron's weight row plays the role of a
-/// filter.
-pub struct QuantLinear {
-    shadow: Param,
-    bias: Param,
-    thresholds: Option<Param>,
-    quant: WeightQuant,
-    cache: Option<LinearCache>,
-    last_quantized: Option<Tensor>,
-    last_traces: Vec<FilterTrace>,
-    train_stats: LayerTrainStats,
-}
-
-impl QuantLinear {
-    /// Creates a quantized linear layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `in_features == 0` or `out_features == 0`.
-    pub fn new(
-        rng: &mut TensorRng,
-        scheme: &QuantScheme,
-        in_features: usize,
-        out_features: usize,
-    ) -> Self {
-        assert!(in_features > 0 && out_features > 0, "zero-sized linear");
-        let shadow = kaiming_uniform(rng, &[out_features, in_features], in_features);
-        let quant = WeightQuant::from_scheme(scheme);
-        let thresholds = match &quant {
-            WeightQuant::FLight { quantizer, .. } => {
-                Some(Param::new(Tensor::zeros(&[quantizer.k_max])))
-            }
-            _ => None,
-        };
-        QuantLinear {
-            shadow: Param::new(shadow),
-            bias: Param::new(Tensor::zeros(&[out_features])),
-            thresholds,
-            quant,
-            cache: None,
-            last_quantized: None,
-            last_traces: Vec::new(),
-            train_stats: LayerTrainStats::default(),
-        }
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.shadow.value.dims()[0]
-    }
-
-    /// The full-precision shadow weight parameter.
-    pub fn shadow(&self) -> &Param {
-        &self.shadow
-    }
-
-    /// Mutable access to the shadow weights (tests, surgery).
-    pub fn shadow_mut(&mut self) -> &mut Param {
-        &mut self.shadow
-    }
-
-    /// The bias parameter.
-    pub fn bias(&self) -> &Param {
-        &self.bias
-    }
-
-    /// The threshold parameter, when the scheme is FLightNN.
-    pub fn thresholds(&self) -> Option<&Param> {
-        self.thresholds.as_ref()
-    }
-
-    /// Mutable threshold access.
-    pub fn thresholds_mut(&mut self) -> Option<&mut Param> {
-        self.thresholds.as_mut()
-    }
-
-    /// The weight bit width of a fixed-point layer (see
-    /// [`QuantConv2d::fixed_point_bits`]).
-    pub fn fixed_point_bits(&self) -> Option<u32> {
-        self.quant.fixed_point_bits()
-    }
-
-    /// Per-row shift counts (see
-    /// [`QuantConv2d::filter_shift_counts`]).
-    pub fn row_shift_counts(&mut self) -> Vec<usize> {
-        match &self.quant {
-            WeightQuant::Float | WeightQuant::FixedPoint { .. } => Vec::new(),
-            WeightQuant::LightNn { k } => vec![*k; self.out_features()],
-            WeightQuant::FLight { .. } => {
-                if self.last_traces.is_empty() {
-                    self.quantize_weights();
-                }
-                self.last_traces.iter().map(|t| t.ki).collect()
-            }
-        }
-    }
-
-    /// Quantizes the current shadow weights (see
-    /// [`QuantConv2d::quantize_weights`]).
-    pub fn quantize_weights(&mut self) -> Tensor {
-        let (q, traces) = match &self.quant {
-            WeightQuant::Float => (self.shadow.value.clone(), Vec::new()),
-            WeightQuant::FixedPoint { bits } => (
-                quantize_fixed_point(&self.shadow.value, *bits).0,
-                Vec::new(),
-            ),
-            WeightQuant::LightNn { k } => (quantize_lightnn(&self.shadow.value, *k), Vec::new()),
-            WeightQuant::FLight { quantizer, .. } => {
-                let t = self
-                    .thresholds
-                    .as_ref()
-                    .expect("FLightNN layer always has thresholds")
-                    .value
-                    .as_slice()
-                    .to_vec();
-                let (q, traces, _) = quantizer.quantize_tensor(&self.shadow.value, &t);
-                (q, traces)
-            }
-        };
-        self.last_traces = traces;
-        q
-    }
-
-    /// Accumulates the regularization gradient; see
-    /// [`QuantConv2d::accumulate_reg`].
-    pub fn accumulate_reg(&mut self, reg: &RegStrength) -> f32 {
-        if self.last_traces.is_empty() || reg.is_zero() {
-            return 0.0;
-        }
-        let mut loss = 0.0;
-        for (i, trace) in self.last_traces.iter().enumerate() {
-            loss += filter_reg_loss(trace, reg);
-            accumulate_filter_reg_grad(trace, reg, self.shadow.grad.outer_mut(i));
-        }
-        loss
-    }
-
-    /// Weight storage bits under this layer's scheme.
-    pub fn storage_bits(&mut self) -> usize {
-        let weights = self.shadow.value.len();
-        match &self.quant {
-            WeightQuant::Float => 32 * weights,
-            WeightQuant::FixedPoint { bits } => *bits as usize * weights,
-            WeightQuant::LightNn { k } => 4 * k * weights,
-            WeightQuant::FLight { .. } => {
-                let row = weights / self.out_features();
-                self.row_shift_counts().iter().map(|&ki| 4 * ki * row).sum()
-            }
-        }
-    }
-
-    /// Proximal group-lasso step; see [`QuantConv2d::apply_reg_prox`].
-    /// Returns the number of residual groups captured at exactly zero.
-    pub fn apply_reg_prox(&mut self, reg: &RegStrength, step: f32) -> usize {
-        if !matches!(self.quant, WeightQuant::FLight { .. }) || reg.is_zero() || step <= 0.0 {
-            return 0;
-        }
-        let rows = self.out_features();
-        let window = crate::pow2::ExponentWindow::fit(self.shadow.value.as_slice());
-        let mut captures = 0;
-        for i in 0..rows {
-            captures += group_lasso_prox(self.shadow.value.outer_mut(i), reg, step, &window);
-        }
-        captures
-    }
-
-    /// Folds the accumulated shadow-weight gradient norm into the
-    /// training-dynamics stats; see [`QuantConv2d::observe_shadow_grad`].
-    pub fn observe_shadow_grad(&mut self) {
-        self.train_stats.grad_norm_shadow_sum += l2_f64(self.shadow.grad.as_slice());
-    }
-
-    /// Drains the per-epoch training-dynamics accumulator.
-    pub fn take_train_stats(&mut self) -> LayerTrainStats {
-        std::mem::take(&mut self.train_stats)
-    }
-
-    /// Per-order residual-norm sums; see
-    /// [`QuantConv2d::residual_norm_sums`].
-    pub fn residual_norm_sums(&self) -> Vec<f64> {
-        residual_norm_sums(&self.last_traces)
-    }
-}
-
-/// Sums `‖r_{i,j}‖₂` over filters per level `j` (the telemetry view of
-/// the group-lasso objective, one number per `λ_j`).
-fn residual_norm_sums(traces: &[FilterTrace]) -> Vec<f64> {
-    let levels = traces.iter().map(|t| t.norms.len()).max().unwrap_or(0);
-    let mut sums = vec![0.0f64; levels];
-    for trace in traces {
-        for (sum, &norm) in sums.iter_mut().zip(&trace.norms) {
-            *sum += norm as f64;
-        }
-    }
-    sums
 }
 
 /// The sequential proximal operator of `Σ_j λ_j‖r_j(w)‖₂` on one filter:
@@ -777,18 +548,167 @@ fn group_lasso_prox(
     captures
 }
 
+/// A 2-D convolution whose weights pass through a quantizer on every
+/// forward pass.
+///
+/// Weight layout is `[filters, in_channels, k, k]`. The layer itself holds
+/// only its geometry and backward cache; the shadow weights, thresholds,
+/// per-filter shift counts `k_i` and everything else Algorithm 1 touches
+/// live in its [`QuantWeights`] core ([`QuantConv2d::weights`]).
+pub struct QuantConv2d {
+    weights: QuantWeights,
+    stride: usize,
+    padding: usize,
+    cache: Option<Conv2dCache>,
+}
+
+impl QuantConv2d {
+    /// Creates a quantized conv layer with Kaiming-uniform shadow weights,
+    /// zero bias, and (for FLightNN) thresholds initialized to zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any dimension is zero or `stride == 0`.
+    pub fn new(
+        rng: &mut TensorRng,
+        scheme: &QuantScheme,
+        in_channels: usize,
+        filters: usize,
+        kernel: usize,
+        stride: usize,
+        padding: usize,
+    ) -> Self {
+        assert!(
+            in_channels > 0 && filters > 0 && kernel > 0,
+            "zero-sized conv"
+        );
+        assert!(stride > 0, "stride must be positive");
+        let fan_in = in_channels * kernel * kernel;
+        let shadow = kaiming_uniform(rng, &[filters, in_channels, kernel, kernel], fan_in);
+        QuantConv2d {
+            weights: QuantWeights::new(shadow, scheme),
+            stride,
+            padding,
+            cache: None,
+        }
+    }
+
+    /// The quantized-weight core.
+    pub fn weights(&self) -> &QuantWeights {
+        &self.weights
+    }
+
+    /// Mutable access to the quantized-weight core.
+    pub fn weights_mut(&mut self) -> &mut QuantWeights {
+        &mut self.weights
+    }
+
+    /// Stride of the convolution.
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Padding of the convolution.
+    pub fn padding(&self) -> usize {
+        self.padding
+    }
+}
+
+impl std::fmt::Debug for QuantConv2d {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let d = self.weights.shadow.value.dims();
+        write!(
+            f,
+            "QuantConv2d({}→{}, {}x{}, {:?})",
+            d[1], d[0], d[2], d[3], self.weights.quant
+        )
+    }
+}
+
+impl Layer for QuantConv2d {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let (stride, padding) = (self.stride, self.padding);
+        let (out, cache) = self
+            .weights
+            .forward_with(|q, bias| conv2d_forward(input, q, bias, stride, padding, train));
+        self.cache = cache;
+        out
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let cache = self
+            .cache
+            .take()
+            .expect("QuantConv2d::backward called without a training forward pass");
+        self.weights
+            .backward_with(|q| conv2d_backward(&cache, q, grad_out))
+    }
+
+    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+        self.weights.visit_params(visitor);
+    }
+
+    fn name(&self) -> String {
+        let d = self.weights.shadow.value.dims();
+        format!("quant_conv2d({}→{}, {}x{})", d[1], d[0], d[2], d[3])
+    }
+}
+
+/// A fully connected layer over the same [`QuantWeights`] core as
+/// [`QuantConv2d`]; each output neuron's weight row plays the role of a
+/// filter, so the layer is a 1×1 conv on a 1×1 image.
+pub struct QuantLinear {
+    weights: QuantWeights,
+    cache: Option<LinearCache>,
+}
+
+impl QuantLinear {
+    /// Creates a quantized linear layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `in_features == 0` or `out_features == 0`.
+    pub fn new(
+        rng: &mut TensorRng,
+        scheme: &QuantScheme,
+        in_features: usize,
+        out_features: usize,
+    ) -> Self {
+        assert!(in_features > 0 && out_features > 0, "zero-sized linear");
+        let shadow = kaiming_uniform(rng, &[out_features, in_features], in_features);
+        QuantLinear {
+            weights: QuantWeights::new(shadow, scheme),
+            cache: None,
+        }
+    }
+
+    /// The quantized-weight core.
+    pub fn weights(&self) -> &QuantWeights {
+        &self.weights
+    }
+
+    /// Mutable access to the quantized-weight core.
+    pub fn weights_mut(&mut self) -> &mut QuantWeights {
+        &mut self.weights
+    }
+}
+
 impl std::fmt::Debug for QuantLinear {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let d = self.shadow.value.dims();
-        write!(f, "QuantLinear({}→{}, {:?})", d[1], d[0], self.quant)
+        let d = self.weights.shadow.value.dims();
+        write!(
+            f,
+            "QuantLinear({}→{}, {:?})",
+            d[1], d[0], self.weights.quant
+        )
     }
 }
 
 impl Layer for QuantLinear {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let q = self.quantize_weights();
-        let (out, cache) = linear_forward(input, &q, &self.bias.value, train);
-        self.last_quantized = Some(q);
+        let (out, cache) = self
+            .weights
+            .forward_with(|q, bias| linear_forward(input, q, bias, train));
         self.cache = cache;
         out
     }
@@ -798,42 +718,16 @@ impl Layer for QuantLinear {
             .cache
             .take()
             .expect("QuantLinear::backward called without a training forward pass");
-        let q = self
-            .last_quantized
-            .as_ref()
-            .expect("forward stores the quantized weights");
-        let (dx, dwq, db) = linear_backward(&cache, q, grad_out);
-        self.train_stats.observe_backward(
-            dwq.as_slice(),
-            q.as_slice(),
-            self.shadow.value.as_slice(),
-        );
-        self.shadow.grad.axpy(1.0, &dwq);
-        self.bias.grad.axpy(1.0, &db);
-        if let WeightQuant::FLight { tau, .. } = self.quant {
-            if let (Some(tp), false) = (self.thresholds.as_mut(), self.last_traces.is_empty()) {
-                let t = tp.value.as_slice().to_vec();
-                for (i, trace) in self.last_traces.iter().enumerate() {
-                    let tg = threshold_gradients(trace, &t, dwq.outer(i), tau);
-                    for (g, tg_j) in tp.grad.as_mut_slice().iter_mut().zip(tg) {
-                        *g += tg_j;
-                    }
-                }
-            }
-        }
-        dx
+        self.weights
+            .backward_with(|q| linear_backward(&cache, q, grad_out))
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
-        visitor(&mut self.shadow);
-        visitor(&mut self.bias);
-        if let Some(t) = self.thresholds.as_mut() {
-            visitor(t);
-        }
+        self.weights.visit_params(visitor);
     }
 
     fn name(&self) -> String {
-        let d = self.shadow.value.dims();
+        let d = self.weights.shadow.value.dims();
         format!("quant_linear({}→{})", d[1], d[0])
     }
 }
@@ -871,44 +765,47 @@ mod tests {
     fn full_scheme_is_transparent() {
         let mut r = rng();
         let mut conv = QuantConv2d::new(&mut r, &QuantScheme::full(), 2, 3, 3, 1, 1);
-        let q = conv.quantize_weights();
-        assert_eq!(q, conv.shadow().value);
-        assert!(conv.thresholds().is_none());
-        assert!(conv.filter_shift_counts().is_empty());
+        let q = conv.weights_mut().quantize().clone();
+        assert_eq!(q, conv.weights().shadow().value);
+        assert!(conv.weights().thresholds().is_none());
+        assert!(conv.weights_mut().filter_shift_counts().is_empty());
     }
 
     #[test]
     fn lightnn_weights_are_pow2_sums() {
         let mut r = rng();
         let mut conv = QuantConv2d::new(&mut r, &QuantScheme::l1(), 2, 3, 3, 1, 1);
-        let q = conv.quantize_weights();
+        let q = conv.weights_mut().quantize().clone();
         for &v in q.as_slice() {
             assert!(
                 v == 0.0 || crate::pow2::round_pow2(v) == v,
                 "{v} is not a power of two"
             );
         }
-        assert_eq!(conv.filter_shift_counts(), vec![1, 1, 1]);
+        assert_eq!(conv.weights_mut().filter_shift_counts(), vec![1, 1, 1]);
     }
 
     #[test]
     fn flight_starts_at_k_max_with_zero_thresholds() {
         let mut r = rng();
         let mut conv = QuantConv2d::new(&mut r, &QuantScheme::flight(1e-5), 2, 4, 3, 1, 1);
-        assert_eq!(conv.thresholds().unwrap().value.as_slice(), &[0.0, 0.0]);
-        assert_eq!(conv.filter_shift_counts(), vec![2, 2, 2, 2]);
+        assert_eq!(
+            conv.weights().thresholds().unwrap().value.as_slice(),
+            &[0.0, 0.0]
+        );
+        assert_eq!(conv.weights_mut().filter_shift_counts(), vec![2, 2, 2, 2]);
     }
 
     #[test]
     fn raising_thresholds_lowers_shift_counts_and_storage() {
         let mut r = rng();
         let mut conv = QuantConv2d::new(&mut r, &QuantScheme::flight(1e-5), 2, 4, 3, 1, 1);
-        let s0 = conv.storage_bits();
-        conv.thresholds_mut().unwrap().value = Tensor::from_slice(&[0.0, 100.0]);
-        conv.quantize_weights();
-        let counts = conv.filter_shift_counts();
+        let s0 = conv.weights_mut().storage_bits();
+        conv.weights_mut().thresholds_mut().unwrap().value = Tensor::from_slice(&[0.0, 100.0]);
+        conv.weights_mut().quantize();
+        let counts = conv.weights_mut().filter_shift_counts();
         assert!(counts.iter().all(|&k| k == 1));
-        let s1 = conv.storage_bits();
+        let s1 = conv.weights_mut().storage_bits();
         assert!(s1 < s0, "storage must shrink: {s0} -> {s1}");
         // k=1 per filter at 4 bits/term is exactly half the k=2 storage.
         assert_eq!(s1 * 2, s0);
@@ -921,7 +818,7 @@ mod tests {
         let x = uniform(&mut r, &[1, 1, 5, 5], -1.0, 1.0);
         let y = conv.forward(&x, true);
         conv.backward(&Tensor::ones(y.dims()));
-        assert!(conv.shadow().grad.abs_max() > 0.0);
+        assert!(conv.weights().shadow().grad.abs_max() > 0.0);
     }
 
     #[test]
@@ -929,13 +826,14 @@ mod tests {
         let mut r = rng();
         let mut conv = QuantConv2d::new(&mut r, &QuantScheme::flight(1e-5), 1, 2, 3, 1, 1);
         // Move thresholds near the residual norms so the sigmoid is live.
-        conv.quantize_weights();
-        let norm0 = conv.last_traces[0].norms[0];
-        conv.thresholds_mut().unwrap().value = Tensor::from_slice(&[norm0, norm0 * 0.1]);
+        conv.weights_mut().quantize();
+        let norm0 = conv.weights.last_traces[0].norms[0];
+        conv.weights_mut().thresholds_mut().unwrap().value =
+            Tensor::from_slice(&[norm0, norm0 * 0.1]);
         let x = uniform(&mut r, &[1, 1, 5, 5], -1.0, 1.0);
         let y = conv.forward(&x, true);
         conv.backward(&Tensor::ones(y.dims()));
-        let tg = &conv.thresholds().unwrap().grad;
+        let tg = &conv.weights().thresholds().unwrap().grad;
         assert!(
             tg.abs_max() > 0.0,
             "threshold gradients must flow: {:?}",
@@ -948,28 +846,36 @@ mod tests {
         let mut r = rng();
         let mut conv = QuantConv2d::new(&mut r, &QuantScheme::l2(), 1, 2, 3, 1, 1);
         // LightNN has no traces -> reg no-op.
-        assert_eq!(conv.accumulate_reg(&RegStrength::graduated(1e-5, 2)), 0.0);
+        assert_eq!(
+            conv.weights_mut()
+                .accumulate_reg(&RegStrength::graduated(1e-5, 2)),
+            0.0
+        );
     }
 
     #[test]
     fn flight_reg_pulls_weights_down() {
         let mut r = rng();
         let mut conv = QuantConv2d::new(&mut r, &QuantScheme::flight(1e-2), 1, 2, 3, 1, 1);
-        conv.quantize_weights();
+        conv.weights_mut().quantize();
         // Full graduated regularizer has positive loss.
-        let loss = conv.accumulate_reg(&RegStrength::graduated(1e-2, 2));
+        let loss = conv
+            .weights_mut()
+            .accumulate_reg(&RegStrength::graduated(1e-2, 2));
         assert!(loss > 0.0);
 
         // The λ0 (pruning) term in isolation points exactly along the
         // weights: descent shrinks filters toward zero.
         conv.zero_grad();
-        conv.accumulate_reg(&RegStrength::new(vec![1e-2, 0.0]));
+        conv.weights_mut()
+            .accumulate_reg(&RegStrength::new(vec![1e-2, 0.0]));
         let dot: f32 = conv
+            .weights()
             .shadow()
             .grad
             .as_slice()
             .iter()
-            .zip(conv.shadow().value.as_slice())
+            .zip(conv.weights().shadow().value.as_slice())
             .map(|(&g, &w)| g * w)
             .sum();
         assert!(dot > 0.0, "λ0 gradient must align with weights, dot {dot}");
@@ -984,8 +890,8 @@ mod tests {
         assert_eq!(y.dims(), &[4, 3]);
         let dx = fc.backward(&Tensor::ones(y.dims()));
         assert_eq!(dx.dims(), &[4, 6]);
-        assert!(fc.shadow().grad.abs_max() > 0.0);
-        assert_eq!(fc.row_shift_counts().len(), 3);
+        assert!(fc.weights().shadow().grad.abs_max() > 0.0);
+        assert_eq!(fc.weights_mut().filter_shift_counts().len(), 3);
     }
 
     #[test]
@@ -995,9 +901,9 @@ mod tests {
         let x = uniform(&mut r, &[1, 1, 5, 5], -1.0, 1.0);
         let y = conv.forward(&x, true);
         conv.backward(&Tensor::ones(y.dims()));
-        conv.observe_shadow_grad();
+        conv.weights_mut().observe_shadow_grad();
 
-        let stats = conv.take_train_stats();
+        let stats = conv.weights_mut().take_train_stats();
         assert_eq!(stats.batches, 1);
         assert_eq!(stats.ste_total, 2 * 3 * 3);
         assert!(stats.grad_norm_quant_sum > 0.0);
@@ -1012,7 +918,10 @@ mod tests {
         assert!(stats.clip_rate() >= 0.0 && stats.clip_rate() <= 1.0);
 
         // Draining resets the accumulator.
-        assert_eq!(conv.take_train_stats(), LayerTrainStats::default());
+        assert_eq!(
+            conv.weights_mut().take_train_stats(),
+            LayerTrainStats::default()
+        );
     }
 
     #[test]
@@ -1021,11 +930,11 @@ mod tests {
         let mut fc = QuantLinear::new(&mut r, &QuantScheme::flight(1e-5), 4, 2);
         // An astronomical second threshold plus a first threshold above
         // every row norm forces k_i = 0: all weights quantize to zero.
-        fc.thresholds_mut().unwrap().value = Tensor::from_slice(&[1e6, 1e6]);
+        fc.weights_mut().thresholds_mut().unwrap().value = Tensor::from_slice(&[1e6, 1e6]);
         let x = uniform(&mut r, &[2, 4], -1.0, 1.0);
         let y = fc.forward(&x, true);
         fc.backward(&Tensor::ones(y.dims()));
-        let stats = fc.take_train_stats();
+        let stats = fc.weights_mut().take_train_stats();
         assert_eq!(stats.ste_clipped, stats.ste_total);
         assert_eq!(stats.clip_rate(), 1.0);
     }
@@ -1034,9 +943,12 @@ mod tests {
     fn residual_norm_sums_follow_the_traces() {
         let mut r = rng();
         let mut conv = QuantConv2d::new(&mut r, &QuantScheme::flight(1e-5), 1, 3, 3, 1, 1);
-        assert!(conv.residual_norm_sums().is_empty(), "no traces yet");
-        conv.quantize_weights();
-        let sums = conv.residual_norm_sums();
+        assert!(
+            conv.weights().residual_norm_sums().is_empty(),
+            "no traces yet"
+        );
+        conv.weights_mut().quantize();
+        let sums = conv.weights().residual_norm_sums();
         assert_eq!(sums.len(), 2, "one sum per level j < k_max");
         // r_0 is the whole filter, so its sum dominates the level-1
         // residual left after the first shift.
@@ -1044,8 +956,8 @@ mod tests {
 
         // Full-precision layers have no traces and no sums.
         let mut full = QuantConv2d::new(&mut r, &QuantScheme::full(), 1, 2, 3, 1, 1);
-        full.quantize_weights();
-        assert!(full.residual_norm_sums().is_empty());
+        full.weights_mut().quantize();
+        assert!(full.weights().residual_norm_sums().is_empty());
     }
 
     #[test]
@@ -1060,7 +972,12 @@ mod tests {
         ];
         for (scheme, expected) in cases {
             let mut conv = QuantConv2d::new(&mut r, &scheme, 3, 2, 3, 1, 1);
-            assert_eq!(conv.storage_bits(), expected, "scheme {}", scheme.label());
+            assert_eq!(
+                conv.weights_mut().storage_bits(),
+                expected,
+                "scheme {}",
+                scheme.label()
+            );
         }
     }
 }

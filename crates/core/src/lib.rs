@@ -15,9 +15,10 @@
 //!   straight-through estimator for the shadow weights.
 //! * [`reg`] — the group-lasso regularizer `Σ_j λ_j Σ_i ‖r_{i,j}‖₂` of
 //!   §4.3 (Fig. 4).
-//! * [`layers`] — [`QuantConv2d`](layers::QuantConv2d),
-//!   [`QuantLinear`](layers::QuantLinear) and 8-bit activation
-//!   quantization, all implementing `flight_nn::Layer`.
+//! * [`layers`] — the [`QuantWeights`](layers::QuantWeights) core that
+//!   implements Algorithm 1 once, the [`QuantConv2d`](layers::QuantConv2d)
+//!   and [`QuantLinear`](layers::QuantLinear) layers around it, and 8-bit
+//!   activation quantization, all implementing `flight_nn::Layer`.
 //! * [`net`] — the introspectable quantized network container and
 //!   quantized residual blocks.
 //! * [`scheme`] — whole-model quantization recipes (`Full`, `FP4W8A`,

@@ -3,14 +3,18 @@
 //! A [`QuantNet`] is a sequential chain like
 //! [`flight_nn::Sequential`], but it keeps quantized layers as concrete
 //! enum variants so the trainer, the storage model, and the hardware
-//! models can walk them ([`QuantNet::visit_quant_convs`]) without
-//! downcasting.
+//! models can walk them without downcasting. One visitor,
+//! [`QuantNet::visit_quant_layers`], walks every quantized conv and
+//! linear layer in network order (recursing into residual main paths and
+//! shortcuts) and hands each out as a [`QuantLayerMut`], whose
+//! [`into_weights`](QuantLayerMut::into_weights) reaches the shared
+//! [`QuantWeights`] core.
 
 use flight_nn::layers::LeakyRelu;
 use flight_nn::{Layer, Param};
 use flight_tensor::Tensor;
 
-use crate::layers::{QuantConv2d, QuantLinear};
+use crate::layers::{QuantConv2d, QuantLinear, QuantWeights};
 
 /// One layer of a quantized network.
 pub enum NetLayer {
@@ -32,6 +36,24 @@ impl NetLayer {
             NetLayer::Conv(c) => c,
             NetLayer::Linear(l) => l,
             NetLayer::Residual(r) => r,
+        }
+    }
+}
+
+/// A quantized layer as [`QuantNet::visit_quant_layers`] hands it out.
+pub enum QuantLayerMut<'a> {
+    /// A quantized convolution.
+    Conv(&'a mut QuantConv2d),
+    /// A quantized fully connected layer.
+    Linear(&'a mut QuantLinear),
+}
+
+impl<'a> QuantLayerMut<'a> {
+    /// The layer's quantized-weight core.
+    pub fn into_weights(self) -> &'a mut QuantWeights {
+        match self {
+            QuantLayerMut::Conv(c) => c.weights_mut(),
+            QuantLayerMut::Linear(l) => l.weights_mut(),
         }
     }
 }
@@ -112,27 +134,32 @@ impl QuantNet {
         self.layers.is_empty()
     }
 
-    /// Visits every quantized convolution, recursing into residual
-    /// blocks.
-    pub fn visit_quant_convs(&mut self, f: &mut dyn FnMut(&mut QuantConv2d)) {
+    /// Visits every quantized conv and linear layer in network order,
+    /// recursing into residual blocks (main path, then shortcut).
+    pub fn visit_quant_layers(&mut self, f: &mut dyn FnMut(QuantLayerMut<'_>)) {
         for layer in &mut self.layers {
             match layer {
-                NetLayer::Conv(c) => f(c),
-                NetLayer::Residual(r) => r.visit_quant_convs(f),
-                _ => {}
+                NetLayer::Conv(c) => f(QuantLayerMut::Conv(c)),
+                NetLayer::Linear(l) => f(QuantLayerMut::Linear(l)),
+                NetLayer::Residual(r) => {
+                    r.main.visit_quant_layers(f);
+                    if let Some(sc) = &mut r.shortcut {
+                        sc.visit_quant_layers(f);
+                    }
+                }
+                NetLayer::Plain(_) => {}
             }
         }
     }
 
-    /// Visits every quantized linear layer.
-    pub fn visit_quant_linears(&mut self, f: &mut dyn FnMut(&mut QuantLinear)) {
-        for layer in &mut self.layers {
-            match layer {
-                NetLayer::Linear(l) => f(l),
-                NetLayer::Residual(r) => r.main.visit_quant_linears(f),
-                _ => {}
+    /// Visits every quantized convolution (the convs of
+    /// [`QuantNet::visit_quant_layers`]).
+    pub fn visit_quant_convs(&mut self, f: &mut dyn FnMut(&mut QuantConv2d)) {
+        self.visit_quant_layers(&mut |layer| {
+            if let QuantLayerMut::Conv(c) = layer {
+                f(c)
             }
-        }
+        });
     }
 
     /// Number of quantized convolutions (recursive).
@@ -147,7 +174,7 @@ impl QuantNet {
     /// skipped.
     pub fn all_shift_counts(&mut self) -> Vec<usize> {
         let mut all = Vec::new();
-        self.visit_quant_convs(&mut |c| all.extend(c.filter_shift_counts()));
+        self.visit_quant_convs(&mut |c| all.extend(c.weights_mut().filter_shift_counts()));
         all
     }
 
@@ -254,14 +281,6 @@ impl QuantResidualBlock {
     pub fn shortcut_mut(&mut self) -> Option<&mut QuantNet> {
         self.shortcut.as_mut()
     }
-
-    /// Visits quantized convolutions in the main path and shortcut.
-    pub fn visit_quant_convs(&mut self, f: &mut dyn FnMut(&mut QuantConv2d)) {
-        self.main.visit_quant_convs(f);
-        if let Some(sc) = &mut self.shortcut {
-            sc.visit_quant_convs(f);
-        }
-    }
 }
 
 impl std::fmt::Debug for QuantResidualBlock {
@@ -349,9 +368,9 @@ mod tests {
     fn visitors_find_quant_layers() {
         let mut net = tiny_net(&QuantScheme::l2());
         assert_eq!(net.conv_count(), 1);
-        let mut linears = 0;
-        net.visit_quant_linears(&mut |_| linears += 1);
-        assert_eq!(linears, 1);
+        let mut kinds = Vec::new();
+        net.visit_quant_layers(&mut |l| kinds.push(matches!(l, QuantLayerMut::Conv(_))));
+        assert_eq!(kinds, vec![true, false], "conv, then linear");
         assert_eq!(net.all_shift_counts(), vec![2, 2, 2, 2]);
     }
 

@@ -57,17 +57,11 @@ impl std::fmt::Display for StorageReport {
 /// training state (FLightNN shift counts reflect the current thresholds).
 pub fn storage_report(net: &mut QuantNet) -> StorageReport {
     let mut report = StorageReport::default();
-    net.visit_quant_convs(&mut |conv| {
-        report.weight_bits += conv.storage_bits();
-        report.weights += conv.shadow().value.len();
-        let counts = conv.filter_shift_counts();
-        report.filters += counts.len();
-        report.pruned_filters += counts.iter().filter(|&&k| k == 0).count();
-    });
-    net.visit_quant_linears(&mut |lin| {
-        report.weight_bits += lin.storage_bits();
-        report.weights += lin.shadow().value.len();
-        let counts = lin.row_shift_counts();
+    net.visit_quant_layers(&mut |layer| {
+        let w = layer.into_weights();
+        report.weight_bits += w.storage_bits();
+        report.weights += w.shadow().value.len();
+        let counts = w.filter_shift_counts();
         report.filters += counts.len();
         report.pruned_filters += counts.iter().filter(|&&k| k == 0).count();
     });

@@ -43,7 +43,7 @@ use flight_telemetry::{FixedHistogram, Telemetry};
 use flight_tensor::Tensor;
 
 use crate::layers::LayerTrainStats;
-use crate::net::QuantNet;
+use crate::net::{QuantLayerMut, QuantNet};
 use crate::reg::RegStrength;
 use crate::scheme::QuantScheme;
 
@@ -218,15 +218,13 @@ impl FlightTrainer {
             // this batch's quantization traces before the optimizer step.
             let mut reg_loss = 0.0f32;
             if self.reg_mode == RegMode::Gradient && !reg.is_zero() {
-                net.visit_quant_convs(&mut |c| reg_loss += c.accumulate_reg(&reg));
-                net.visit_quant_linears(&mut |l| reg_loss += l.accumulate_reg(&reg));
+                net.visit_quant_layers(&mut |l| reg_loss += l.into_weights().accumulate_reg(&reg));
             }
 
             // Fold the post-reg shadow-gradient norm into each layer's
             // training-dynamics stats (the quantized-path norm and STE
             // clip counts were recorded inside backward).
-            net.visit_quant_convs(&mut |c| c.observe_shadow_grad());
-            net.visit_quant_linears(&mut |l| l.observe_shadow_grad());
+            net.visit_quant_layers(&mut |l| l.into_weights().observe_shadow_grad());
 
             // Thresholds get their own optimizer: stash their gradients and
             // zero them so the weight optimizer skips them.
@@ -242,11 +240,8 @@ impl FlightTrainer {
             // the weight step, capturing fully-shrunk groups at zero.
             if self.reg_mode == RegMode::Proximal && !reg.is_zero() {
                 let step = self.opt.learning_rate();
-                net.visit_quant_convs(&mut |c| {
-                    prox_captures += c.apply_reg_prox(&reg, step) as u64
-                });
-                net.visit_quant_linears(&mut |l| {
-                    prox_captures += l.apply_reg_prox(&reg, step) as u64;
+                net.visit_quant_layers(&mut |l| {
+                    prox_captures += l.into_weights().apply_reg_prox(&reg, step) as u64;
                 });
             }
 
@@ -294,11 +289,8 @@ impl FlightTrainer {
         reg: &RegStrength,
     ) {
         if !self.telemetry.enabled() {
-            net.visit_quant_convs(&mut |c| {
-                c.take_train_stats();
-            });
-            net.visit_quant_linears(&mut |l| {
-                l.take_train_stats();
+            net.visit_quant_layers(&mut |l| {
+                l.into_weights().take_train_stats();
             });
             return;
         }
@@ -312,43 +304,28 @@ impl FlightTrainer {
         );
         telemetry.counter("train.prox_captures", prox_captures, "group");
 
-        // Per-layer signals, named by layer kind and position: threshold
-        // trajectories, training dynamics, and residual-norm sums (the
-        // latter accumulated network-wide per order).
+        // Per-layer signals, named by layer kind and position (`c{n}` for
+        // convs, `f{n}` for linears): threshold trajectories, training
+        // dynamics, and residual-norm sums (the latter accumulated
+        // network-wide per order).
         let mut reg_sums: Vec<f64> = Vec::new();
-        let mut conv = 0usize;
-        net.visit_quant_convs(&mut |c| {
-            if let Some(t) = c.thresholds() {
+        let (mut convs, mut linears) = (0usize, 0usize);
+        net.visit_quant_layers(&mut |layer| {
+            let (kind, n) = match layer {
+                QuantLayerMut::Conv(_) => ("c", &mut convs),
+                QuantLayerMut::Linear(_) => ("f", &mut linears),
+            };
+            let label = format!("{kind}{n}");
+            *n += 1;
+            let w = layer.into_weights();
+            if let Some(t) = w.thresholds() {
                 for (j, &tj) in t.value.as_slice().iter().enumerate() {
-                    telemetry.gauge(&format!("train.threshold.c{conv}.t{j}"), tj as f64, "norm");
+                    telemetry.gauge(&format!("train.threshold.{label}.t{j}"), tj as f64, "norm");
                 }
             }
-            let dyn_stats = c.take_train_stats();
-            record_layer_dynamics(
-                telemetry,
-                &format!("c{conv}"),
-                &dyn_stats,
-                c.shadow().value.as_slice(),
-            );
-            accumulate_reg_sums(&mut reg_sums, c.residual_norm_sums());
-            conv += 1;
-        });
-        let mut fc = 0usize;
-        net.visit_quant_linears(&mut |l| {
-            if let Some(t) = l.thresholds() {
-                for (j, &tj) in t.value.as_slice().iter().enumerate() {
-                    telemetry.gauge(&format!("train.threshold.f{fc}.t{j}"), tj as f64, "norm");
-                }
-            }
-            let dyn_stats = l.take_train_stats();
-            record_layer_dynamics(
-                telemetry,
-                &format!("f{fc}"),
-                &dyn_stats,
-                l.shadow().value.as_slice(),
-            );
-            accumulate_reg_sums(&mut reg_sums, l.residual_norm_sums());
-            fc += 1;
+            let dyn_stats = w.take_train_stats();
+            record_layer_dynamics(telemetry, &label, &dyn_stats, w.shadow().value.as_slice());
+            accumulate_reg_sums(&mut reg_sums, w.residual_norm_sums());
         });
 
         // The group-lasso objective per order, next to its effective λ_j
@@ -461,13 +438,8 @@ impl FlightTrainer {
     }
 
     fn for_each_threshold(net: &mut QuantNet, f: &mut dyn FnMut(&mut Param)) {
-        net.visit_quant_convs(&mut |c| {
-            if let Some(t) = c.thresholds_mut() {
-                f(t);
-            }
-        });
-        net.visit_quant_linears(&mut |l| {
-            if let Some(t) = l.thresholds_mut() {
+        net.visit_quant_layers(&mut |l| {
+            if let Some(t) = l.into_weights().thresholds_mut() {
                 f(t);
             }
         });

@@ -100,11 +100,11 @@ proptest! {
         // storage.
         let mut rng = TensorRng::seed(seed);
         let mut conv = QuantConv2d::new(&mut rng, &QuantScheme::flight(0.0), 2, 3, 3, 1, 1);
-        let full = conv.storage_bits();
-        conv.thresholds_mut().unwrap().value =
+        let full = conv.weights_mut().storage_bits();
+        conv.weights_mut().thresholds_mut().unwrap().value =
             flight_tensor::Tensor::from_slice(&[0.0, 1e9]);
-        conv.quantize_weights();
-        let halved = conv.storage_bits();
+        conv.weights_mut().quantize();
+        let halved = conv.weights_mut().storage_bits();
         prop_assert_eq!(halved * 2, full);
     }
 }

@@ -39,7 +39,7 @@ use flight_nn::layers::MaxPool2d;
 use flight_telemetry::{StageSample, Telemetry};
 use flight_tensor::{Conv2dGeometry, Tensor};
 use flightnn::convert::shift_plan;
-use flightnn::layers::{QuantConv2d, QuantLinear};
+use flightnn::layers::QuantWeights;
 use flightnn::net::{NetLayer, QuantNet};
 
 use crate::counts::OpCounts;
@@ -447,21 +447,6 @@ impl IntNetwork {
         ctx.set_kernel_path(self.kernel_path);
         self.net.forward(input, &mut ctx)
     }
-
-    /// Like [`IntNetwork::forward`], but writes the logits into a
-    /// caller-provided tensor — the serving path keeps one logits buffer
-    /// alive instead of allocating per request. When `out` already has
-    /// the right shape its allocation is reused; otherwise it is
-    /// replaced.
-    pub fn forward_into(&self, input: &Tensor, out: &mut Tensor) -> OpCounts {
-        let (logits, counts) = self.forward(input);
-        if out.dims() == logits.dims() {
-            out.as_mut_slice().copy_from_slice(logits.as_slice());
-        } else {
-            *out = logits;
-        }
-        counts
-    }
 }
 
 /// Short stage label used in telemetry event names.
@@ -483,8 +468,29 @@ fn compile_layers(net: &mut QuantNet) -> Result<Vec<IntLayer>, CompileError> {
     let mut out = Vec::new();
     for layer in net.layers_mut() {
         match layer {
-            NetLayer::Conv(conv) => out.push(compile_conv(conv)),
-            NetLayer::Linear(lin) => out.push(compile_linear(lin)),
+            NetLayer::Conv(conv) => {
+                let (stride, padding) = (conv.stride(), conv.padding());
+                let w = conv.weights_mut();
+                let dims = w.shadow().value.dims().to_vec();
+                out.push(IntLayer::Conv {
+                    weights: lower_weights(w, &dims),
+                    bias: w.bias().value.clone(),
+                    stride,
+                    padding,
+                    act_bits: w.act_bits(),
+                });
+            }
+            NetLayer::Linear(lin) => {
+                // A linear layer is a 1×1 conv on a 1×1 image.
+                let w = lin.weights_mut();
+                let d = w.shadow().value.dims();
+                let dims = [d[0], d[1], 1, 1];
+                out.push(IntLayer::Linear {
+                    weights: lower_weights(w, &dims),
+                    bias: w.bias().value.clone(),
+                    act_bits: w.act_bits(),
+                });
+            }
             NetLayer::Residual(block) => {
                 let slope = block.activation_slope();
                 let main = compile_layers(block.main_mut())?;
@@ -562,48 +568,22 @@ fn parse_pool(name: &str) -> Option<usize> {
     inner.split('x').next()?.parse().ok()
 }
 
-fn compile_conv(conv: &mut QuantConv2d) -> IntLayer {
-    // Re-quantize: the layer's cache may be stale from the last training
-    // step (the shadow weights moved after the last forward pass).
-    let q = conv.quantize_weights();
-    let weights = if let Some(bits) = conv.fixed_point_bits() {
-        IntWeights::Fixed(FixedWeights::quantize(&conv.shadow().value, bits))
-    } else if conv.filter_shift_counts().is_empty() {
-        // Full precision: the quantizer passed the shadow through.
-        IntWeights::Float(q)
+/// Lowers one quantized layer's weights to the datapath its scheme runs
+/// on, as a conv weight of shape `dims`. Fixed-point weights quantize
+/// from the shadow; shift weights expand through [`shift_plan`], the one
+/// quantization of the compile (the layer's last one may be stale: the
+/// shadow weights moved after the last forward pass); full-precision
+/// weights pass through.
+fn lower_weights(w: &mut QuantWeights, dims: &[usize]) -> IntWeights {
+    if let Some(bits) = w.fixed_point_bits() {
+        IntWeights::Fixed(FixedWeights::quantize(
+            &w.shadow().value.reshape(dims),
+            bits,
+        ))
+    } else if w.is_shift_based() {
+        IntWeights::Shift(ShiftKernel::compile(&shift_plan(w), dims))
     } else {
-        let plan = shift_plan(conv);
-        IntWeights::Shift(ShiftKernel::compile(&plan, conv.shadow().value.dims()))
-    };
-    IntLayer::Conv {
-        weights,
-        bias: conv.bias().value.clone(),
-        stride: conv.stride(),
-        padding: conv.padding(),
-        act_bits: 8,
-    }
-}
-
-fn compile_linear(lin: &mut QuantLinear) -> IntLayer {
-    let q = lin.quantize_weights();
-    let counts = lin.row_shift_counts();
-    let dims = q.dims().to_vec();
-    let weights = if let Some(bits) = lin.fixed_point_bits() {
-        // Fixed point, reshaped to a 1x1 conv weight.
-        let w = lin.shadow().value.reshape(&[dims[0], dims[1], 1, 1]);
-        IntWeights::Fixed(FixedWeights::quantize(&w, bits))
-    } else if counts.is_empty() {
-        // Full precision: lift [out, in] to a 1x1 conv weight.
-        IntWeights::Float(q.reshape(&[dims[0], dims[1], 1, 1]))
-    } else {
-        // A linear layer is a 1×1 conv on a 1×1 image.
-        let plan = flightnn::convert::shift_plan_for(&q, &counts);
-        IntWeights::Shift(ShiftKernel::compile(&plan, &[dims[0], dims[1], 1, 1]))
-    };
-    IntLayer::Linear {
-        weights,
-        bias: lin.bias().value.clone(),
-        act_bits: 8,
+        IntWeights::Float(w.shadow().value.reshape(dims))
     }
 }
 

@@ -591,7 +591,7 @@ mod tests {
         let mut rng = TensorRng::seed(31);
         let shift = |rng: &mut TensorRng, c: usize| {
             let mut conv = QuantConv2d::new(rng, &QuantScheme::l2(), c, 3, 3, 1, 0);
-            ShiftKernel::compile(&shift_plan(&mut conv), &[3, c, 3, 3])
+            ShiftKernel::compile(&shift_plan(conv.weights_mut()), &[3, c, 3, 3])
         };
         let fixed = |rng: &mut TensorRng, c: usize| {
             FixedWeights::quantize(&uniform(rng, &[3, c, 3, 3], -0.5, 0.5), 4)

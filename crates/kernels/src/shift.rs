@@ -148,7 +148,7 @@ fn strict_pow2_exponent(v: f32) -> Option<i32> {
 ///
 /// let mut rng = TensorRng::seed(0);
 /// let mut conv = QuantConv2d::new(&mut rng, &QuantScheme::l1(), 3, 8, 3, 1, 1);
-/// let plan = shift_plan(&mut conv);
+/// let plan = shift_plan(conv.weights_mut());
 /// let kernel = ShiftKernel::compile(&plan, &[8, 3, 3, 3]);
 /// assert_eq!(kernel.filters(), 8);
 /// ```
@@ -508,13 +508,13 @@ mod tests {
     fn check_scheme(scheme: QuantScheme, seed: u64) {
         let mut rng = TensorRng::seed(seed);
         let mut conv = QuantConv2d::new(&mut rng, &scheme, 3, 4, 3, 1, 1);
-        let plan = shift_plan(&mut conv);
-        let dims = conv.shadow().value.dims().to_vec();
+        let plan = shift_plan(conv.weights_mut());
+        let dims = conv.weights().shadow().value.dims().to_vec();
         let kernel = ShiftKernel::compile(&plan, &dims);
 
         let x = uniform(&mut rng, &[2, 3, 6, 6], -1.0, 1.0);
         let qa = QuantActivations::quantize(&x, 8);
-        let qweights = conv.quantized_weights();
+        let qweights = conv.weights_mut().quantized().clone();
 
         let (reference, _) = conv2d_forward(
             &qa.dequantize(),
@@ -560,8 +560,8 @@ mod tests {
         let mut c1 = QuantConv2d::new(&mut rng, &QuantScheme::l1(), 2, 4, 3, 1, 1);
         let mut rng = TensorRng::seed(14);
         let mut c2 = QuantConv2d::new(&mut rng, &QuantScheme::l2(), 2, 4, 3, 1, 1);
-        let p1 = shift_plan(&mut c1);
-        let p2 = shift_plan(&mut c2);
+        let p1 = shift_plan(c1.weights_mut());
+        let p2 = shift_plan(c2.weights_mut());
         let k1 = ShiftKernel::compile(&p1, &[4, 2, 3, 3]);
         let k2 = ShiftKernel::compile(&p2, &[4, 2, 3, 3]);
         assert!(
@@ -574,7 +574,7 @@ mod tests {
     fn core_with_per_image_scales_matches_solo_images() {
         let mut rng = TensorRng::seed(16);
         let mut conv = QuantConv2d::new(&mut rng, &QuantScheme::l1(), 2, 3, 3, 1, 1);
-        let plan = shift_plan(&mut conv);
+        let plan = shift_plan(conv.weights_mut());
         let kernel = ShiftKernel::compile(&plan, &[3, 2, 3, 3]);
         let x = uniform(&mut rng, &[3, 2, 6, 6], -1.0, 1.0);
 
@@ -615,13 +615,13 @@ mod tests {
     fn stride_two_matches_reference() {
         let mut rng = TensorRng::seed(15);
         let mut conv = QuantConv2d::new(&mut rng, &QuantScheme::l2(), 2, 3, 3, 2, 1);
-        let plan = shift_plan(&mut conv);
+        let plan = shift_plan(conv.weights_mut());
         let kernel = ShiftKernel::compile(&plan, &[3, 2, 3, 3]);
         let x = uniform(&mut rng, &[1, 2, 8, 8], -1.0, 1.0);
         let qa = QuantActivations::quantize(&x, 8);
         let (reference, _) = conv2d_forward(
             &qa.dequantize(),
-            &conv.quantized_weights(),
+            conv.weights_mut().quantized(),
             &Tensor::zeros(&[3]),
             2,
             1,

@@ -296,6 +296,16 @@ fn profiled_forward_is_bit_identical_and_attributes_every_stage() {
     assert_eq!(first_kind, "conv", "network 1 opens with a conv stage");
 }
 
+/// Adds a per-channel bias to a one-image `[1, c, h, w]` conv output.
+fn add_bias(out: &mut flight_tensor::Tensor, bias: &flight_tensor::Tensor) {
+    let plane = out.len() / bias.len();
+    for (ch, &b) in bias.as_slice().iter().enumerate() {
+        for v in &mut out.as_mut_slice()[ch * plane..(ch + 1) * plane] {
+            *v += b;
+        }
+    }
+}
+
 #[test]
 fn fixed_point_layers_compile_at_their_own_weight_bits() {
     use flight_kernels::fixed::{fixed_point_conv, FixedWeights};
@@ -316,7 +326,7 @@ fn fixed_point_layers_compile_at_their_own_weight_bits() {
             p.value = bias.clone();
         }
     });
-    let shadow = conv.shadow().value.clone();
+    let shadow = conv.weights().shadow().value.clone();
     let mut net = QuantNet::new();
     net.push_conv(conv);
     let compiled = CompiledNet::compile(&mut net, false).expect("compiles");
@@ -327,12 +337,56 @@ fn fixed_point_layers_compile_at_their_own_weight_bits() {
 
     let qa = QuantActivations::quantize(&x, 8);
     let (mut want, want_counts) = fixed_point_conv(&qa, &FixedWeights::quantize(&shadow, 8), 1, 1);
-    let plane = 6 * 6;
-    for (ch, &b) in bias.as_slice().iter().enumerate() {
-        for v in &mut want.as_mut_slice()[ch * plane..(ch + 1) * plane] {
-            *v += b;
-        }
-    }
+    add_bias(&mut want, &bias);
     assert_eq!(out.as_slice(), want.as_slice());
     assert_eq!(counts, want_counts);
+}
+
+#[test]
+fn layers_compile_at_the_schemes_activation_bits() {
+    use flight_kernels::fixed::{fixed_point_conv, FixedWeights};
+    use flight_kernels::{shift_add_conv, CompiledNet, ExecCtx, QuantActivations, ShiftKernel};
+    use flight_tensor::{uniform, Tensor};
+    use flightnn::convert::shift_plan;
+    use flightnn::layers::QuantConv2d;
+
+    // A 4-bit-activation scheme must quantize conv inputs to 4 bits on
+    // both datapaths, as the float network's `ActQuant` does.
+    for scheme in [
+        QuantScheme::FixedPoint {
+            weight_bits: 4,
+            act_bits: 4,
+        },
+        QuantScheme::LightNn { k: 1, act_bits: 4 },
+    ] {
+        let mut rng = TensorRng::seed(29);
+        let mut conv = QuantConv2d::new(&mut rng, &scheme, 3, 4, 3, 1, 1);
+        let bias = Tensor::from_slice(&[0.5, -0.25, 1.0, 0.125]);
+        conv.visit_params(&mut |p| {
+            if p.value.dims() == [4] {
+                p.value = bias.clone();
+            }
+        });
+        // One image, so the engine's per-image scale is the tensor scale.
+        let x = uniform(&mut rng, &[1, 3, 6, 6], -1.0, 1.0);
+        let qa = QuantActivations::quantize(&x, 4);
+        let w = conv.weights_mut();
+        let (mut want, want_counts) = match w.fixed_point_bits() {
+            Some(bits) => {
+                fixed_point_conv(&qa, &FixedWeights::quantize(&w.shadow().value, bits), 1, 1)
+            }
+            None => {
+                let kernel = ShiftKernel::compile(&shift_plan(w), &[4, 3, 3, 3]);
+                shift_add_conv(&qa, &kernel, 1, 1)
+            }
+        };
+        add_bias(&mut want, &bias);
+
+        let mut net = QuantNet::new();
+        net.push_conv(conv);
+        let compiled = CompiledNet::compile(&mut net, false).expect("compiles");
+        let (out, counts) = compiled.forward(&x, &mut ExecCtx::new());
+        assert_eq!(out.as_slice(), want.as_slice(), "{}", scheme.label());
+        assert_eq!(counts, want_counts, "{}", scheme.label());
+    }
 }

@@ -35,7 +35,7 @@ use proptest::prelude::*;
 fn shift_kernel(seed: u64, scheme: &QuantScheme, c: usize, f: usize, k: usize) -> ShiftKernel {
     let mut rng = TensorRng::seed(seed);
     let mut conv = QuantConv2d::new(&mut rng, scheme, c, f, k, 1, 0);
-    let plan = shift_plan(&mut conv);
+    let plan = shift_plan(conv.weights_mut());
     ShiftKernel::compile(&plan, &[f, c, k, k])
 }
 

@@ -171,26 +171,6 @@ fn residual_net_parallel_matches_sequential() {
 }
 
 #[test]
-fn forward_into_reuses_or_replaces_the_buffer() {
-    let mut net = conv_net(&QuantScheme::l1(), 8);
-    let engine = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("compiles");
-    let x = input_batch(3, 88);
-    let (expected, expected_counts) = engine.forward(&x);
-
-    // Right shape: the allocation is reused in place.
-    let mut out = Tensor::zeros(expected.dims());
-    let counts = engine.forward_into(&x, &mut out);
-    assert_eq!(out.as_slice(), expected.as_slice());
-    assert_eq!(counts, expected_counts);
-
-    // Wrong shape: the buffer is replaced with the fresh logits.
-    let mut wrong = Tensor::zeros(&[1]);
-    engine.forward_into(&x, &mut wrong);
-    assert_eq!(wrong.dims(), expected.dims());
-    assert_eq!(wrong.as_slice(), expected.as_slice());
-}
-
-#[test]
 fn residual_slope_is_plumbed_through_compilation() {
     // Two identical nets except for the residual joining slope must
     // compile to engines that disagree — with the old hardcoded 0.01 the

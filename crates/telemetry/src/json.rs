@@ -113,6 +113,7 @@ impl JsonValue {
     /// or of nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -252,6 +253,7 @@ fn render_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays/objects currently open around `pos`.
@@ -394,10 +396,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one complete UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
+                    // Consume one complete UTF-8 scalar. `pos` sits on a
+                    // char boundary of the (already valid) input, so this
+                    // decodes one char without rescanning the rest.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| "invalid utf-8 in string".to_string())?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

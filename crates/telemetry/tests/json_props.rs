@@ -149,3 +149,23 @@ proptest! {
         }
     }
 }
+
+/// String parsing is linear in the string's length: a 4 MiB string
+/// (ASCII plus two- and three-byte scalars) parses in well under the
+/// bound, where a parser that rescans the rest of the input per
+/// character needs minutes.
+#[test]
+fn multi_mib_strings_parse_in_linear_time() {
+    // 7 bytes per repeat: 4.2 MB of string body.
+    let body = "ab\u{e9}\u{20ac}".repeat(600_000);
+    let text = JsonValue::String(body.clone()).render();
+    let start = std::time::Instant::now();
+    let parsed = JsonValue::parse(&text);
+    let elapsed = start.elapsed();
+    assert_eq!(parsed, Ok(JsonValue::String(body)));
+    assert!(
+        elapsed < std::time::Duration::from_secs(5),
+        "parsing a {} byte string took {elapsed:?}",
+        text.len()
+    );
+}

@@ -1,8 +1,9 @@
 //! The deployment path end to end: train a FLightNN, save its
 //! parameters, reload them into a fresh network, compile the network to
 //! the multiplier-free integer pipeline (with batch norms folded), and
-//! verify that integer accuracy matches the float path while executing
-//! zero multiplies.
+//! verify that the reloaded network's float logits equal the trained
+//! network's bit for bit, and that integer accuracy matches the float
+//! path while executing zero multiplies.
 //!
 //! Run with:
 //!
@@ -39,8 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut deployed = cfg.build(&scheme, &mut rng2, data.classes(), data.image_dims(), 0.25);
     load_params(&mut deployed, &mut checkpoint.as_slice())?;
 
-    // 3. Compile to the integer pipeline with folded batch norms. The
-    //    default execution policy splits each batch across all cores.
+    // 3. Compile to the integer pipeline with folded batch norms. Each
+    //    forward runs its batch on the calling thread.
     let engine =
         IntNetwork::compile_with(&mut deployed, CompileOptions::new().fold_batch_norm(true))?;
     println!("compiled integer pipeline: {} stages", engine.stages());
@@ -52,6 +53,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut total_counts = flight_kernels::OpCounts::default();
     for batch in data.test_batches(16) {
         let fl = deployed.forward(&batch.input, false);
+        let trained = net.forward(&batch.input, false);
+        assert_eq!(
+            fl.as_slice(),
+            trained.as_slice(),
+            "the reloaded network must reproduce the trained logits bitwise"
+        );
         let (il, counts) = engine.forward(&batch.input);
         float_correct += top_k_accuracy(&fl, &batch.labels, 1) * batch.len() as f32;
         int_correct += top_k_accuracy(&il, &batch.labels, 1) * batch.len() as f32;

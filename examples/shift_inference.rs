@@ -38,12 +38,12 @@ fn main() {
         QuantScheme::flight(1e-5),
     ] {
         let mut conv = QuantConv2d::new(&mut rng, &scheme, 8, 16, 3, 1, 1);
-        conv.shadow_mut().value = shadow.clone();
-        if let Some(t) = conv.thresholds_mut() {
+        conv.weights_mut().shadow_mut().value = shadow.clone();
+        if let Some(t) = conv.weights_mut().thresholds_mut() {
             // Give the FLightNN layer a mixed k profile for the demo.
             t.value = flight_tensor::Tensor::from_slice(&[0.0, 0.45]);
         }
-        let plan = shift_plan(&mut conv);
+        let plan = shift_plan(conv.weights_mut());
         let kernel = ShiftKernel::compile(&plan, &[16, 8, 3, 3]);
         let (out_shift, counts) = shift_add_conv(&qa, &kernel, 1, 1);
 

@@ -102,10 +102,14 @@ fn quantized_inference_is_deterministic() {
     assert_eq!(acc_a, acc_b, "same seed must give identical accuracy");
     // And identical quantized weights.
     let mut wa = Vec::new();
-    a.visit_quant_convs(&mut |c| wa.push(c.quantized_weights()));
+    a.visit_quant_convs(&mut |c| wa.push(c.weights_mut().quantized().clone()));
     let mut i = 0;
     b.visit_quant_convs(&mut |c| {
-        assert_eq!(c.quantized_weights(), wa[i], "conv {i} weights differ");
+        assert_eq!(
+            c.weights_mut().quantized(),
+            &wa[i],
+            "conv {i} weights differ"
+        );
         i += 1;
     });
 }

@@ -33,11 +33,11 @@ fn trained_flightnn_layer_runs_multiplier_free() {
         }
         checked = true;
 
-        let plan = shift_plan(conv);
-        let dims = conv.shadow().value.dims().to_vec();
+        let plan = shift_plan(conv.weights_mut());
+        let dims = conv.weights().shadow().value.dims().to_vec();
         let kernel = ShiftKernel::compile(&plan, &dims);
         let qa = QuantActivations::quantize(&probe, 8);
-        let qweights = conv.quantized_weights();
+        let qweights = conv.weights_mut().quantized().clone();
 
         // Reference: float conv of quantized activations × quantized weights.
         let (reference, _) = conv2d_forward(
@@ -100,13 +100,13 @@ fn shift_and_fixed_paths_agree_on_shared_float_weights() {
 
     // Shift path via a LightNN-2 layer with the same shadow weights.
     let mut conv = flightnn::layers::QuantConv2d::new(&mut rng, &QuantScheme::l2(), 4, 6, 3, 1, 1);
-    conv.shadow_mut().value = w.clone();
-    let plan = shift_plan(&mut conv);
+    conv.weights_mut().shadow_mut().value = w.clone();
+    let plan = shift_plan(conv.weights_mut());
     let kernel = ShiftKernel::compile(&plan, &[6, 4, 3, 3]);
     let (out_shift, cs) = shift_add_conv(&qa, &kernel, 1, 1);
     let (ref_shift, _) = conv2d_forward(
         &qa.dequantize(),
-        &conv.quantized_weights(),
+        conv.weights_mut().quantized(),
         &Tensor::zeros(&[6]),
         1,
         1,

@@ -64,7 +64,10 @@ fn thresholds_stay_non_negative_and_t0_stays_pinned() {
     trainer.fit(&mut net, &data.train_batches(16), 4);
 
     net.visit_quant_convs(&mut |c| {
-        let t = c.thresholds().expect("FLightNN layer has thresholds");
+        let t = c
+            .weights()
+            .thresholds()
+            .expect("FLightNN layer has thresholds");
         for &v in t.value.as_slice() {
             assert!(v >= 0.0, "threshold went negative: {v}");
         }
