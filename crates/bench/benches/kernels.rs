@@ -124,8 +124,8 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     let mut trainer = FlightTrainer::new(&scheme, 1e-3);
     let batches = data.train_batches(16);
     trainer.train_epoch(&mut net, &batches[..1]);
-    let options = CompileOptions::new().fold_batch_norm(true);
-    let engine = IntNetwork::compile_with(&mut net, options).expect("network 1 folds");
+    let engine =
+        IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("network 1 compiles");
     let input = data
         .test_batches(8)
         .first()

@@ -130,9 +130,7 @@ pub fn train_model(
 /// spans and op counters alongside the training events. Skipped (with a
 /// stderr note) if the model does not compile.
 fn probe_int_engine(net: &mut QuantNet, data: &SyntheticDataset, telemetry: &Telemetry) {
-    let options = CompileOptions::new()
-        .fold_batch_norm(true)
-        .telemetry(telemetry.clone());
+    let options = CompileOptions::new().telemetry(telemetry.clone());
     let engine = match IntNetwork::compile_with(net, options) {
         Ok(engine) => engine,
         Err(e) => {

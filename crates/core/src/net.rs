@@ -1,44 +1,84 @@
 //! The introspectable quantized network container.
 //!
 //! A [`QuantNet`] is a sequential chain like
-//! [`flight_nn::Sequential`], but it keeps quantized layers as concrete
-//! enum variants so the trainer, the storage model, and the hardware
-//! models can walk them without downcasting. One visitor,
-//! [`QuantNet::visit_quant_layers`], walks every quantized conv and
-//! linear layer in network order (recursing into residual main paths and
-//! shortcuts) and hands each out as a [`QuantLayerMut`], whose
+//! [`flight_nn::Sequential`], but it keeps every layer as a concrete
+//! [`NetLayer`] variant so the trainer, the storage model, the hardware
+//! models and the integer compiler can walk them without downcasting.
+//! One visitor, [`QuantNet::visit_quant_layers`], walks every quantized
+//! conv and linear layer in network order (recursing into residual main
+//! paths and shortcuts) and hands each out as a [`QuantLayerMut`], whose
 //! [`into_weights`](QuantLayerMut::into_weights) reaches the shared
 //! [`QuantWeights`] core.
 
-use flight_nn::layers::LeakyRelu;
+use flight_nn::layers::{BatchNorm2d, Flatten, GlobalAvgPool, LeakyRelu, MaxPool2d};
 use flight_nn::{Layer, Param};
 use flight_tensor::Tensor;
 
-use crate::layers::{QuantConv2d, QuantLinear, QuantWeights};
+use crate::layers::{ActQuant, QuantConv2d, QuantLinear, QuantWeights};
 
-/// One layer of a quantized network.
+/// One layer of a quantized network: a closed set of typed variants, so
+/// the integer compiler in `flight-kernels` lowers every layer from its
+/// type (a batch norm's eval affine, a LeakyReLU's slope, a pool's
+/// window) rather than from its name.
+#[derive(Debug)]
 pub enum NetLayer {
-    /// A non-quantized building block (BN, activation, pooling, flatten…).
-    Plain(Box<dyn Layer>),
     /// A quantized convolution.
     Conv(QuantConv2d),
     /// A quantized fully connected layer.
     Linear(QuantLinear),
     /// A residual block whose convolutions are quantized.
     Residual(QuantResidualBlock),
+    /// Batch normalization.
+    BatchNorm2d(BatchNorm2d),
+    /// LeakyReLU activation.
+    LeakyRelu(LeakyRelu),
+    /// Max pooling.
+    MaxPool2d(MaxPool2d),
+    /// Global average pooling.
+    GlobalAvgPool(GlobalAvgPool),
+    /// `[n, c, h, w]` → `[n, c·h·w]` ahead of a linear layer.
+    Flatten(Flatten),
+    /// Activation quantization.
+    ActQuant(ActQuant),
 }
 
 impl NetLayer {
     /// The layer as a `flight_nn::Layer` trait object.
     pub fn as_layer_mut(&mut self) -> &mut dyn Layer {
         match self {
-            NetLayer::Plain(l) => l.as_mut(),
             NetLayer::Conv(c) => c,
             NetLayer::Linear(l) => l,
             NetLayer::Residual(r) => r,
+            NetLayer::BatchNorm2d(l) => l,
+            NetLayer::LeakyRelu(l) => l,
+            NetLayer::MaxPool2d(l) => l,
+            NetLayer::GlobalAvgPool(l) => l,
+            NetLayer::Flatten(l) => l,
+            NetLayer::ActQuant(l) => l,
         }
     }
 }
+
+/// `From` for the plain (non-quantized) layer types, which is what
+/// [`QuantNet::push_plain`] accepts.
+macro_rules! plain_layers {
+    ($($ty:ident),*) => {$(
+        impl From<$ty> for NetLayer {
+            fn from(layer: $ty) -> Self {
+                NetLayer::$ty(layer)
+            }
+        }
+    )*};
+}
+
+plain_layers!(
+    BatchNorm2d,
+    LeakyRelu,
+    MaxPool2d,
+    GlobalAvgPool,
+    Flatten,
+    ActQuant
+);
 
 /// A quantized layer as [`QuantNet::visit_quant_layers`] hands it out.
 pub enum QuantLayerMut<'a> {
@@ -54,17 +94,6 @@ impl<'a> QuantLayerMut<'a> {
         match self {
             QuantLayerMut::Conv(c) => c.weights_mut(),
             QuantLayerMut::Linear(l) => l.weights_mut(),
-        }
-    }
-}
-
-impl std::fmt::Debug for NetLayer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NetLayer::Plain(l) => write!(f, "Plain({})", l.name()),
-            NetLayer::Conv(c) => write!(f, "{c:?}"),
-            NetLayer::Linear(l) => write!(f, "{l:?}"),
-            NetLayer::Residual(r) => write!(f, "{r:?}"),
         }
     }
 }
@@ -98,9 +127,10 @@ impl QuantNet {
         QuantNet { layers: Vec::new() }
     }
 
-    /// Appends a plain (non-quantized) layer.
-    pub fn push_plain<L: Layer + 'static>(&mut self, layer: L) {
-        self.layers.push(NetLayer::Plain(Box::new(layer)));
+    /// Appends a plain (non-quantized) layer: a batch norm, LeakyReLU,
+    /// pool, flatten or activation quantizer.
+    pub fn push_plain(&mut self, layer: impl Into<NetLayer>) {
+        self.layers.push(layer.into());
     }
 
     /// Appends a quantized convolution.
@@ -147,7 +177,7 @@ impl QuantNet {
                         sc.visit_quant_layers(f);
                     }
                 }
-                NetLayer::Plain(_) => {}
+                _ => {}
             }
         }
     }
@@ -340,7 +370,6 @@ impl Layer for QuantResidualBlock {
 mod tests {
     use super::*;
     use crate::scheme::QuantScheme;
-    use flight_nn::layers::{BatchNorm2d, Flatten};
     use flight_tensor::{uniform, TensorRng};
 
     fn tiny_net(scheme: &QuantScheme) -> QuantNet {

@@ -4,16 +4,18 @@
 //! [`QuantNet`](flightnn::QuantNet) into a deployment pipeline where
 //! every convolution and fully connected layer runs on the integer
 //! kernels of this crate — shift-add for (F)LightNN weights, integer
-//! multiply for fixed-point weights — and everything else (batch norm
-//! with running statistics, LeakyReLU, pooling) runs as cheap float
-//! glue, exactly as an accelerator would keep them in wider fixed point.
+//! multiply for fixed-point weights. The compiler reads each layer from
+//! its type and fuses conv → batch norm → LeakyReLU into one conv stage:
+//! the batch norm's eval affine folds into the conv's per-channel
+//! epilogue (the standard deployment transform), which runs as one float
+//! pass after the kernel, exactly as an accelerator would keep it in
+//! wider fixed point. Pooling and activation requantization stay stages
+//! of their own; a linear layer is a conv stage over a 1×1 image.
 //!
-//! Compilation is configured through [`CompileOptions`]: batch-norm
-//! folding (the standard deployment transform — folded and unfolded
-//! pipelines produce identical results), a telemetry handle, and the
-//! scalar-path pin. A forward walks the batch on the calling thread;
-//! [`IntNetwork::forward`] picks the traced or untraced walk from the
-//! telemetry handle.
+//! Compilation is configured through [`CompileOptions`]: a telemetry
+//! handle and the scalar-path pin. A forward walks the batch on the
+//! calling thread; [`IntNetwork::forward`] picks the traced or untraced
+//! walk from the telemetry handle.
 //!
 //! The engine surface is split **request-first**: [`CompiledNet`] is the
 //! immutable, `Send + Sync` compile-time half (the lowered stage list)
@@ -36,6 +38,7 @@
 //! model costs — the numbers the ASIC energy model prices.
 
 use flight_nn::layers::MaxPool2d;
+use flight_nn::Layer;
 use flight_telemetry::{StageSample, Telemetry};
 use flight_tensor::{Conv2dGeometry, Tensor};
 use flightnn::convert::shift_plan;
@@ -62,48 +65,52 @@ pub(crate) enum IntWeights {
     Float(Tensor),
 }
 
+/// One quantized conv (or linear layer) and its fused per-output-channel
+/// epilogue, run in place after the kernel: `y = scale·v + shift`, then
+/// LeakyReLU when `slope` is set. A folded batch norm `a·x + b` gives
+/// `scale = a` and `shift = a·bias + b`; without one, `scale = 1` and
+/// `shift = bias` (`1·v` is exact).
+#[derive(Debug, Clone)]
+pub(crate) struct ConvStage {
+    weights: IntWeights,
+    stride: usize,
+    padding: usize,
+    act_bits: u32,
+    scale: Vec<f32>,
+    shift: Vec<f32>,
+    slope: Option<f32>,
+    /// A linear layer: a 1×1 conv over its input lifted to
+    /// `[n, f, 1, 1]`, returning `[n, classes]`.
+    linear: bool,
+}
+
 #[derive(Debug, Clone)]
 pub(crate) enum IntLayer {
-    Conv {
-        weights: IntWeights,
-        bias: Tensor,
-        stride: usize,
-        padding: usize,
-        act_bits: u32,
-    },
-    /// Per-channel `y = scale·x + bias` (a batch norm at inference time,
-    /// possibly folded away into the conv epilogue).
-    Affine {
-        scale: Tensor,
-        bias: Tensor,
-    },
-    LeakyRelu {
-        slope: f32,
-    },
+    Conv(ConvStage),
     MaxPool {
         window: usize,
     },
     GlobalAvgPool,
-    Flatten,
-    Linear {
-        weights: IntWeights,
-        bias: Tensor,
-        act_bits: u32,
-    },
     Residual {
         main: Vec<IntLayer>,
         shortcut: Option<Vec<IntLayer>>,
         slope: f32,
     },
-    /// Activation requantization markers are free at run time (the conv
-    /// entry quantizes its own input) but kept for shape fidelity.
-    Requant,
+    /// An activation quantizer: quantizes each image at `bits` and
+    /// dequantizes it again, so the next stage sees the values the float
+    /// network's `ActQuant` produces. It is a full pass over the
+    /// activations, with a cost of its own in every forward.
+    Requant {
+        bits: u32,
+    },
 }
 
 /// Errors from [`IntNetwork::compile_with`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompileError {
-    /// A plain layer the compiler does not recognize.
+    /// A layer the integer pipeline cannot place: a batch norm not
+    /// directly after a conv, a LeakyReLU not after a conv or its batch
+    /// norm, or a flatten not directly before a linear layer.
     UnsupportedLayer(String),
 }
 
@@ -119,37 +126,32 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Builder for [`IntNetwork::compile_with`]: batch-norm folding, the
-/// telemetry handle, and the scalar-path pin in one place.
+/// Builder for [`IntNetwork::compile_with`]: the telemetry handle and
+/// the scalar-path pin in one place.
 ///
 /// ```
 /// use flight_kernels::CompileOptions;
 /// use flight_telemetry::Telemetry;
 ///
 /// let options = CompileOptions::new()
-///     .fold_batch_norm(true)
 ///     .telemetry(Telemetry::from_env())
 ///     .force_scalar(false);
-/// assert!(options.folds_batch_norm());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CompileOptions {
-    fold_batch_norm: bool,
     telemetry: Telemetry,
     force_scalar: bool,
 }
 
 impl CompileOptions {
-    /// The defaults: no batch-norm folding, null telemetry, the
-    /// detected kernel path.
+    /// The defaults: null telemetry, the detected kernel path.
     pub fn new() -> Self {
         CompileOptions::default()
     }
 
-    /// Folds batch norms into the preceding conv's affine epilogue
-    /// (bit-identical results, fewer stages).
-    pub fn fold_batch_norm(mut self, fold: bool) -> Self {
-        self.fold_batch_norm = fold;
+    /// A no-op kept for source compatibility: batch norms always fold
+    /// into the preceding conv's epilogue.
+    pub fn fold_batch_norm(self, _fold: bool) -> Self {
         self
     }
 
@@ -174,11 +176,6 @@ impl CompileOptions {
     pub fn force_scalar(mut self, force: bool) -> Self {
         self.force_scalar = force;
         self
-    }
-
-    /// Whether batch-norm folding is enabled.
-    pub fn folds_batch_norm(&self) -> bool {
-        self.fold_batch_norm
     }
 }
 
@@ -271,24 +268,23 @@ impl ExecCtx {
 }
 
 impl CompiledNet {
-    /// Lowers a trained network to the integer stage list; with
-    /// `fold_batch_norm`, batch norms fold into the preceding conv's
-    /// affine epilogue (bit-identical results, fewer stages).
+    /// Lowers a trained network to the integer stage list, each batch
+    /// norm and LeakyReLU fused into the conv before it. The `bool` is a
+    /// no-op kept for source compatibility (it used to switch batch-norm
+    /// folding, which is now the only path).
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::UnsupportedLayer`] for plain layers the
-    /// integer pipeline does not know (none are produced by
+    /// Returns [`CompileError::UnsupportedLayer`] for a layer the
+    /// integer pipeline cannot place (none are produced by
     /// [`NetworkConfig::build`](flightnn::configs::NetworkConfig::build)).
-    pub fn compile(net: &mut QuantNet, fold_batch_norm: bool) -> Result<Self, CompileError> {
-        let mut layers = compile_layers(net)?;
-        if fold_batch_norm {
-            fold_affines(&mut layers);
-        }
-        Ok(CompiledNet { layers })
+    pub fn compile(net: &mut QuantNet, _fold_batch_norm: bool) -> Result<Self, CompileError> {
+        Ok(CompiledNet {
+            layers: compile_layers(net)?,
+        })
     }
 
-    /// Number of pipeline stages (after folding, if any).
+    /// Number of pipeline stages.
     pub fn stages(&self) -> usize {
         self.layers.len()
     }
@@ -388,11 +384,11 @@ impl IntNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::UnsupportedLayer`] for plain layers the
-    /// integer pipeline does not know (none are produced by
+    /// Returns [`CompileError::UnsupportedLayer`] for a layer the
+    /// integer pipeline cannot place (none are produced by
     /// [`NetworkConfig::build`](flightnn::configs::NetworkConfig::build)).
     pub fn compile_with(net: &mut QuantNet, options: CompileOptions) -> Result<Self, CompileError> {
-        let compiled = CompiledNet::compile(net, options.fold_batch_norm)?;
+        let compiled = CompiledNet::compile(net, true)?;
         Ok(IntNetwork {
             net: std::sync::Arc::new(compiled),
             telemetry: options.telemetry,
@@ -425,7 +421,7 @@ impl IntNetwork {
         self
     }
 
-    /// Number of pipeline stages (after folding, if any).
+    /// Number of pipeline stages.
     pub fn stages(&self) -> usize {
         self.net.stages()
     }
@@ -452,46 +448,78 @@ impl IntNetwork {
 /// Short stage label used in telemetry event names.
 fn stage_kind(layer: &IntLayer) -> &'static str {
     match layer {
-        IntLayer::Conv { .. } => "conv",
-        IntLayer::Affine { .. } => "affine",
-        IntLayer::LeakyRelu { .. } => "leaky_relu",
+        IntLayer::Conv(conv) => conv.kind(),
         IntLayer::MaxPool { .. } => "maxpool",
         IntLayer::GlobalAvgPool => "global_avg_pool",
-        IntLayer::Flatten => "flatten",
-        IntLayer::Linear { .. } => "linear",
         IntLayer::Residual { .. } => "residual",
-        IntLayer::Requant => "requant",
+        IntLayer::Requant { .. } => "requant",
     }
 }
 
+/// What the last conv stage's epilogue can still absorb.
+#[derive(Clone, Copy)]
+enum Open {
+    Nothing,
+    BatchNorm,
+    Activation,
+}
+
+/// Lowers `net` stage by stage, matching on layer types: a batch norm
+/// directly after a conv and a LeakyReLU after either fold into that
+/// conv's epilogue, and a flatten directly before a linear layer is
+/// absorbed by it.
 fn compile_layers(net: &mut QuantNet) -> Result<Vec<IntLayer>, CompileError> {
+    let layers = net.layers_mut();
     let mut out = Vec::new();
-    for layer in net.layers_mut() {
-        match layer {
-            NetLayer::Conv(conv) => {
+    let mut open = Open::Nothing;
+    for i in 0..layers.len() {
+        let before_linear = matches!(layers.get(i + 1), Some(NetLayer::Linear(_)));
+        open = match (&mut layers[i], open) {
+            (NetLayer::Conv(conv), _) => {
                 let (stride, padding) = (conv.stride(), conv.padding());
-                let w = conv.weights_mut();
-                let dims = w.shadow().value.dims().to_vec();
-                out.push(IntLayer::Conv {
-                    weights: lower_weights(w, &dims),
-                    bias: w.bias().value.clone(),
-                    stride,
-                    padding,
-                    act_bits: w.act_bits(),
-                });
+                let stage = ConvStage::new(conv.weights_mut(), stride, padding, false);
+                out.push(IntLayer::Conv(stage));
+                Open::BatchNorm
             }
-            NetLayer::Linear(lin) => {
-                // A linear layer is a 1×1 conv on a 1×1 image.
-                let w = lin.weights_mut();
-                let d = w.shadow().value.dims();
-                let dims = [d[0], d[1], 1, 1];
-                out.push(IntLayer::Linear {
-                    weights: lower_weights(w, &dims),
-                    bias: w.bias().value.clone(),
-                    act_bits: w.act_bits(),
-                });
+            (NetLayer::Linear(lin), _) => {
+                let stage = ConvStage::new(lin.weights_mut(), 1, 0, true);
+                out.push(IntLayer::Conv(stage));
+                Open::Activation
             }
-            NetLayer::Residual(block) => {
+            (NetLayer::BatchNorm2d(bn), Open::BatchNorm)
+                if bn.channels() == open_conv(&mut out).scale.len() =>
+            {
+                let conv = open_conv(&mut out);
+                let (a, b) = bn.eval_affine();
+                let folded = a.as_slice().iter().zip(b.as_slice());
+                for ((scale, shift), (&a, &b)) in
+                    conv.scale.iter_mut().zip(&mut conv.shift).zip(folded)
+                {
+                    *scale = a;
+                    *shift = a * *shift + b;
+                }
+                Open::Activation
+            }
+            (NetLayer::LeakyRelu(act), Open::BatchNorm | Open::Activation) => {
+                open_conv(&mut out).slope = Some(act.slope());
+                Open::Nothing
+            }
+            (NetLayer::Flatten(_), _) if before_linear => Open::Nothing,
+            (NetLayer::MaxPool2d(pool), _) => {
+                out.push(IntLayer::MaxPool {
+                    window: pool.window(),
+                });
+                Open::Nothing
+            }
+            (NetLayer::GlobalAvgPool(_), _) => {
+                out.push(IntLayer::GlobalAvgPool);
+                Open::Nothing
+            }
+            (NetLayer::ActQuant(q), _) => {
+                out.push(IntLayer::Requant { bits: q.bits() });
+                Open::Nothing
+            }
+            (NetLayer::Residual(block), _) => {
                 let slope = block.activation_slope();
                 let main = compile_layers(block.main_mut())?;
                 let shortcut = match block.shortcut_mut() {
@@ -503,129 +531,156 @@ fn compile_layers(net: &mut QuantNet) -> Result<Vec<IntLayer>, CompileError> {
                     shortcut,
                     slope,
                 });
+                Open::Nothing
             }
-            NetLayer::Plain(boxed) => {
-                let any: &mut dyn flight_nn::Layer = boxed.as_mut();
-                let name = any.name();
-                if name.starts_with("batchnorm2d") {
-                    // Downcast-free extraction: rebuild the affine from a
-                    // second forward pass is fragile; instead we re-read
-                    // the known concrete types via trait-object name +
-                    // unsafe-free re-dispatch below.
-                    out.push(compile_batchnorm_by_probe(any, &name)?);
-                } else if let Some(slope) = parse_leaky(&name) {
-                    out.push(IntLayer::LeakyRelu { slope });
-                } else if let Some(win) = parse_pool(&name) {
-                    out.push(IntLayer::MaxPool { window: win });
-                } else if name == "global_avg_pool" {
-                    out.push(IntLayer::GlobalAvgPool);
-                } else if name == "flatten" {
-                    out.push(IntLayer::Flatten);
-                } else if name.starts_with("act_quant") {
-                    out.push(IntLayer::Requant);
-                } else {
-                    return Err(CompileError::UnsupportedLayer(name));
-                }
+            (layer, _) => {
+                return Err(CompileError::UnsupportedLayer(layer.as_layer_mut().name()));
             }
-        }
+        };
     }
     Ok(out)
 }
 
-/// Extracts the inference-time affine of a batch norm by probing it with
-/// basis inputs: for eval-mode BN, `y = a·x + b` per channel, so `b =
-/// BN(0)` and `a = BN(1) − b`. This keeps the compiler decoupled from the
-/// layer's private fields.
-fn compile_batchnorm_by_probe(
-    layer: &mut dyn flight_nn::Layer,
-    name: &str,
-) -> Result<IntLayer, CompileError> {
-    let channels: usize = name
-        .trim_start_matches("batchnorm2d(")
-        .trim_end_matches(')')
-        .parse()
-        .map_err(|_| CompileError::UnsupportedLayer(name.to_string()))?;
-    let zeros = Tensor::zeros(&[1, channels, 1, 1]);
-    let ones = Tensor::ones(&[1, channels, 1, 1]);
-    let b = layer.forward(&zeros, false);
-    let a_plus_b = layer.forward(&ones, false);
-    let scale = &a_plus_b - &b;
-    Ok(IntLayer::Affine {
-        scale: scale.reshape(&[channels]),
-        bias: b.reshape(&[channels]),
-    })
-}
-
-fn parse_leaky(name: &str) -> Option<f32> {
-    name.strip_prefix("leaky_relu(")?
-        .trim_end_matches(')')
-        .parse()
-        .ok()
-}
-
-fn parse_pool(name: &str) -> Option<usize> {
-    let inner = name.strip_prefix("maxpool2d(")?.trim_end_matches(')');
-    inner.split('x').next()?.parse().ok()
-}
-
-/// Lowers one quantized layer's weights to the datapath its scheme runs
-/// on, as a conv weight of shape `dims`. Fixed-point weights quantize
-/// from the shadow; shift weights expand through [`shift_plan`], the one
-/// quantization of the compile (the layer's last one may be stale: the
-/// shadow weights moved after the last forward pass); full-precision
-/// weights pass through.
-fn lower_weights(w: &mut QuantWeights, dims: &[usize]) -> IntWeights {
-    if let Some(bits) = w.fixed_point_bits() {
-        IntWeights::Fixed(FixedWeights::quantize(
-            &w.shadow().value.reshape(dims),
-            bits,
-        ))
-    } else if w.is_shift_based() {
-        IntWeights::Shift(ShiftKernel::compile(&shift_plan(w), dims))
-    } else {
-        IntWeights::Float(w.shadow().value.reshape(dims))
+/// The conv stage `compile_layers` pushed last, whose epilogue is open.
+fn open_conv(out: &mut [IntLayer]) -> &mut ConvStage {
+    match out.last_mut() {
+        Some(IntLayer::Conv(conv)) => conv,
+        _ => unreachable!("only a conv stage leaves its epilogue open"),
     }
 }
 
-/// Folds the bias of every `Conv` directly followed by an `Affine` into
-/// that affine: `a·(conv + bias) + b = a·conv + (a·bias + b)`. The conv
-/// epilogue then adds nothing (its bias is zeroed), which is the standard
-/// batch-norm-folding deployment transform; results are bit-identical.
-fn fold_affines(layers: &mut [IntLayer]) {
-    let mut i = 0;
-    while i + 1 < layers.len() {
-        let fold = matches!(
-            (&layers[i], &layers[i + 1]),
-            (IntLayer::Conv { .. }, IntLayer::Affine { .. })
+impl ConvStage {
+    /// Lowers one quantized layer to the datapath its scheme runs on,
+    /// with an epilogue that adds its bias. Fixed-point weights quantize
+    /// from the shadow; shift weights expand through [`shift_plan`], the
+    /// one quantization of the compile (the layer's last one may be
+    /// stale: the shadow weights moved after the last forward pass);
+    /// full-precision weights pass through. A linear layer's
+    /// `[out, in]` weights lower as `[out, in, 1, 1]`.
+    fn new(w: &mut QuantWeights, stride: usize, padding: usize, linear: bool) -> Self {
+        let mut dims = w.shadow().value.dims().to_vec();
+        dims.resize(4, 1);
+        let weights = if let Some(bits) = w.fixed_point_bits() {
+            IntWeights::Fixed(FixedWeights::quantize(
+                &w.shadow().value.reshape(&dims),
+                bits,
+            ))
+        } else if w.is_shift_based() {
+            IntWeights::Shift(ShiftKernel::compile(&shift_plan(w), &dims))
+        } else {
+            IntWeights::Float(w.shadow().value.reshape(&dims))
+        };
+        let shift = w.bias().value.as_slice().to_vec();
+        ConvStage {
+            weights,
+            stride,
+            padding,
+            act_bits: w.act_bits(),
+            scale: vec![1.0; shift.len()],
+            shift,
+            slope: None,
+            linear,
+        }
+    }
+
+    /// The stage label, also the activation quantization site.
+    fn kind(&self) -> &'static str {
+        if self.linear {
+            "linear"
+        } else {
+            "conv"
+        }
+    }
+
+    /// Runs the conv over `x` with whichever datapath the layer compiled
+    /// to, then the epilogue in one in-place pass.
+    fn run<O: StageObserver>(
+        &self,
+        x: &Tensor,
+        counts: &mut OpCounts,
+        scratch: &mut Scratch,
+        obs: &mut O,
+    ) -> Tensor {
+        let n = x.dims()[0];
+        let lifted = self
+            .linear
+            .then(|| x.reshape(&[n, x.len() / n.max(1), 1, 1]));
+        let x = lifted.as_ref().unwrap_or(x);
+        assert_eq!(x.dims().len(), 4, "conv input must be [n, c, h, w]");
+        let mut out = match &self.weights {
+            IntWeights::Shift(k) => self.int_conv(k, x, counts, scratch, obs),
+            IntWeights::Fixed(k) => self.int_conv(k, x, counts, scratch, obs),
+            IntWeights::Float(w) => {
+                let (o, _) = flight_nn::layers::functional::conv2d_forward(
+                    x,
+                    w,
+                    &Tensor::zeros(&[w.dims()[0]]),
+                    self.stride,
+                    self.padding,
+                    false,
+                );
+                // macs = weights × output positions × batch.
+                let macs = (w.len() * o.len() / w.dims()[0].max(1)) as u64;
+                counts.float_mults += macs;
+                counts.float_adds += macs;
+                o
+            }
+        };
+        let c = self.scale.len();
+        let plane = (out.len() / (n * c).max(1)).max(1);
+        for (i, plane) in out.as_mut_slice().chunks_exact_mut(plane).enumerate() {
+            let (a, b) = (self.scale[i % c], self.shift[i % c]);
+            match self.slope {
+                Some(s) => plane.iter_mut().for_each(|v| {
+                    let y = a * *v + b;
+                    *v = if y > 0.0 { y } else { s * y };
+                }),
+                None => plane.iter_mut().for_each(|v| *v = a * *v + b),
+            }
+        }
+        if self.linear {
+            out.reshape_in_place(&[n, c]);
+        }
+        out
+    }
+
+    /// The integer conv of both datapaths: quantize activations per
+    /// image through the scratch buffers, then run the kernel's lowered
+    /// program.
+    fn int_conv<K: TapOp, O: StageObserver>(
+        &self,
+        kernel: &K,
+        x: &Tensor,
+        counts: &mut OpCounts,
+        scratch: &mut Scratch,
+        obs: &mut O,
+    ) -> Tensor {
+        let d = x.dims();
+        QuantActivations::quantize_per_image_into(
+            x,
+            self.act_bits,
+            &mut scratch.codes,
+            &mut scratch.scales,
         );
-        if fold {
-            // Take the conv bias out, rewrite the affine bias.
-            let conv_bias = if let IntLayer::Conv { bias, .. } = &mut layers[i] {
-                std::mem::replace(bias, Tensor::zeros(bias.dims()))
-            } else {
-                unreachable!("checked above")
-            };
-            if let IntLayer::Affine { scale, bias } = &mut layers[i + 1] {
-                let new_bias: Vec<f32> = conv_bias
-                    .as_slice()
-                    .iter()
-                    .zip(scale.as_slice())
-                    .zip(bias.as_slice())
-                    .map(|((&cb, &a), &b)| a * cb + b)
-                    .collect();
-                *bias = Tensor::from_slice(&new_bias);
-            }
-        }
-        i += 1;
-    }
-    // Recurse into residual blocks.
-    for layer in layers.iter_mut() {
-        if let IntLayer::Residual { main, shortcut, .. } = layer {
-            fold_affines(main);
-            if let Some(sc) = shortcut {
-                fold_affines(sc);
-            }
-        }
+        obs.quantized(self.kind(), &scratch.codes, self.act_bits);
+        let (filters, _, k) = kernel.shape();
+        let geom = Conv2dGeometry::new(d[1], d[2], d[3], k, self.stride, self.padding);
+        let mut out = Tensor::zeros(&[d[0], filters, geom.out_h, geom.out_w]);
+        obs.lowered(
+            || kernel.lowered(&geom).stats(),
+            || {
+                conv_core(
+                    &scratch.codes,
+                    &scratch.scales,
+                    &geom,
+                    kernel,
+                    out.as_mut_slice(),
+                    counts,
+                    &mut scratch.lanes,
+                )
+            },
+        );
+        out
     }
 }
 
@@ -655,86 +710,6 @@ pub(crate) fn walk<O: StageObserver>(
     owned.unwrap_or_else(|| input.clone())
 }
 
-/// One conv over `x` with whichever datapath the layer compiled to.
-/// `site` labels the activation quantization site (`"conv"` /
-/// `"linear"`) for the observer.
-#[allow(clippy::too_many_arguments)]
-fn conv_stage<O: StageObserver>(
-    weights: &IntWeights,
-    site: &'static str,
-    act_bits: u32,
-    x: &Tensor,
-    stride: usize,
-    padding: usize,
-    counts: &mut OpCounts,
-    scratch: &mut Scratch,
-    obs: &mut O,
-) -> Tensor {
-    assert_eq!(x.dims().len(), 4, "conv input must be [n, c, h, w]");
-    match weights {
-        IntWeights::Shift(k) => {
-            int_conv(k, site, act_bits, x, stride, padding, counts, scratch, obs)
-        }
-        IntWeights::Fixed(k) => {
-            int_conv(k, site, act_bits, x, stride, padding, counts, scratch, obs)
-        }
-        IntWeights::Float(w) => {
-            let (o, _) = flight_nn::layers::functional::conv2d_forward(
-                x,
-                w,
-                &Tensor::zeros(&[w.dims()[0]]),
-                stride,
-                padding,
-                false,
-            );
-            // macs = weights × output positions × batch.
-            let filters = w.dims()[0];
-            let macs = (w.len() * o.len() / filters.max(1)) as u64;
-            counts.float_mults += macs;
-            counts.float_adds += macs;
-            o
-        }
-    }
-}
-
-/// The integer conv stage of both datapaths: quantize activations per
-/// image through the scratch buffers, then run the kernel's lowered
-/// program.
-#[allow(clippy::too_many_arguments)]
-fn int_conv<K: TapOp, O: StageObserver>(
-    kernel: &K,
-    site: &'static str,
-    act_bits: u32,
-    x: &Tensor,
-    stride: usize,
-    padding: usize,
-    counts: &mut OpCounts,
-    scratch: &mut Scratch,
-    obs: &mut O,
-) -> Tensor {
-    let d = x.dims();
-    QuantActivations::quantize_per_image_into(x, act_bits, &mut scratch.codes, &mut scratch.scales);
-    obs.quantized(site, &scratch.codes, act_bits);
-    let (filters, _, k) = kernel.shape();
-    let geom = Conv2dGeometry::new(d[1], d[2], d[3], k, stride, padding);
-    let mut out = Tensor::zeros(&[d[0], filters, geom.out_h, geom.out_w]);
-    obs.lowered(
-        || kernel.lowered(&geom).stats(),
-        || {
-            conv_core(
-                &scratch.codes,
-                &scratch.scales,
-                &geom,
-                kernel,
-                out.as_mut_slice(),
-                counts,
-                &mut scratch.lanes,
-            )
-        },
-    );
-    out
-}
-
 fn run_layer<O: StageObserver>(
     layer: &IntLayer,
     x: &Tensor,
@@ -743,65 +718,17 @@ fn run_layer<O: StageObserver>(
     obs: &mut O,
 ) -> Tensor {
     match layer {
-        IntLayer::Conv {
-            weights,
-            bias,
-            stride,
-            padding,
-            act_bits,
-        } => {
-            let mut out = conv_stage(
-                weights, "conv", *act_bits, x, *stride, *padding, counts, scratch, obs,
-            );
-            add_channel_bias(&mut out, bias);
-            out
-        }
-        IntLayer::Linear {
-            weights,
-            bias,
-            act_bits,
-        } => {
-            // Lift [n, f] to [n, f, 1, 1] and reuse the conv kernels.
-            let n = x.dims()[0];
-            let f = x.len() / n.max(1);
-            let as_img = x.reshape(&[n, f, 1, 1]);
-            let mut out = conv_stage(
-                weights, "linear", *act_bits, &as_img, 1, 0, counts, scratch, obs,
-            );
-            add_channel_bias(&mut out, bias);
-            let classes = out.len() / n.max(1);
-            out.reshape_in_place(&[n, classes]);
-            out
-        }
-        IntLayer::Affine { scale, bias } => {
-            let mut out = x.clone();
-            scale_channels(&mut out, scale, bias);
-            out
-        }
-        IntLayer::LeakyRelu { slope } => {
-            let s = *slope;
-            x.map(|v| if v > 0.0 { v } else { s * v })
-        }
-        IntLayer::MaxPool { window } => {
-            let mut pool = MaxPool2d::new(*window);
-            flight_nn::Layer::forward(&mut pool, x, false)
-        }
-        IntLayer::GlobalAvgPool => {
-            let mut gap = flight_nn::layers::GlobalAvgPool::new();
-            flight_nn::Layer::forward(&mut gap, x, false)
-        }
-        IntLayer::Flatten => {
-            let n = x.dims()[0];
-            x.reshape(&[n, x.len() / n.max(1)])
-        }
-        IntLayer::Requant => {
+        IntLayer::Conv(conv) => conv.run(x, counts, scratch, obs),
+        IntLayer::MaxPool { window } => MaxPool2d::new(*window).forward(x, false),
+        IntLayer::GlobalAvgPool => flight_nn::layers::GlobalAvgPool::new().forward(x, false),
+        IntLayer::Requant { bits } => {
             QuantActivations::quantize_per_image_into(
                 x,
-                8,
+                *bits,
                 &mut scratch.codes,
                 &mut scratch.scales,
             );
-            obs.quantized("requant", &scratch.codes, 8);
+            obs.quantized("requant", &scratch.codes, *bits);
             let n = x.dims()[0];
             let stride = x.len().checked_div(n).unwrap_or(0);
             let mut data = Vec::with_capacity(x.len());
@@ -831,33 +758,6 @@ fn run_layer<O: StageObserver>(
     }
 }
 
-fn add_channel_bias(out: &mut Tensor, bias: &Tensor) {
-    let (n, c) = (out.dims()[0], out.dims()[1]);
-    let plane = out.len() / (n * c).max(1);
-    for b in 0..n {
-        for ch in 0..c {
-            let add = bias.as_slice()[ch];
-            let base = (b * c + ch) * plane;
-            for v in &mut out.as_mut_slice()[base..base + plane] {
-                *v += add;
-            }
-        }
-    }
-}
-
-fn scale_channels(out: &mut Tensor, scale: &Tensor, bias: &Tensor) {
-    let (n, c) = (out.dims()[0], out.dims()[1]);
-    let plane = out.len() / (n * c).max(1);
-    for b in 0..n {
-        for ch in 0..c {
-            let (a, bb) = (scale.as_slice()[ch], bias.as_slice()[ch]);
-            let base = (b * c + ch) * plane;
-            for v in &mut out.as_mut_slice()[base..base + plane] {
-                *v = a * *v + bb;
-            }
-        }
-    }
-}
-
-// Tests live in tests/engine.rs and tests/parity.rs (they need trained
-// or hand-built networks and are slower than unit scale).
+// Tests live in tests/engine.rs, tests/parity.rs and tests/golden.rs
+// (they need trained or hand-built networks and are slower than unit
+// scale).

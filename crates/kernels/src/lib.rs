@@ -16,7 +16,8 @@
 //! * [`engine`] — whole-network integer inference: compile a trained
 //!   `QuantNet` with [`IntNetwork::compile_with`] into a multiplier-free
 //!   deployment pipeline, configured by a [`CompileOptions`] builder
-//!   (batch-norm folding, telemetry, scalar-path pin). The immutable
+//!   (telemetry, scalar-path pin); every conv → batch norm → LeakyReLU
+//!   compiles to one conv stage with a fused epilogue. The immutable
 //!   [`CompiledNet`] is shared across threads, each bringing its own
 //!   [`ExecCtx`] scratch; activations are quantized with one scale per
 //!   image, so logits do not depend on how a batch is composed or split.

@@ -89,21 +89,6 @@ fn fixed_point_pipeline_multiplies_instead_of_shifting() {
 }
 
 #[test]
-fn folded_pipeline_is_bit_identical_to_unfolded() {
-    let (mut net, data) = trained(1, &QuantScheme::l1(), 2);
-    let plain = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("compiles");
-    let folded = IntNetwork::compile_with(&mut net, CompileOptions::new().fold_batch_norm(true))
-        .expect("compiles folded");
-    let batch = &data.test_batches(4)[0];
-    let (a, _) = plain.forward(&batch.input);
-    let (b, _) = folded.forward(&batch.input);
-    assert!(
-        a.allclose(&b, 1e-5),
-        "batch-norm folding changed the results"
-    );
-}
-
-#[test]
 fn integer_accuracy_matches_float_accuracy() {
     use flight_nn::loss::top_k_accuracy;
     let (mut net, data) = trained(1, &QuantScheme::l2(), 6);
@@ -152,8 +137,7 @@ fn traced_forward_matches_untraced_and_emits_stage_events() {
     use std::sync::Arc;
 
     let (mut net, data) = trained(1, &QuantScheme::l1(), 1);
-    let engine = IntNetwork::compile_with(&mut net, CompileOptions::new().fold_batch_norm(true))
-        .expect("compiles");
+    let engine = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("compiles");
     let input = as_8bit(&data.test_batches(2)[0].input);
     let (plain_logits, plain_counts) = engine.forward(&input);
 
@@ -389,4 +373,170 @@ fn layers_compile_at_the_schemes_activation_bits() {
         assert_eq!(out.as_slice(), want.as_slice(), "{}", scheme.label());
         assert_eq!(counts, want_counts, "{}", scheme.label());
     }
+}
+
+#[test]
+fn requant_stages_quantize_at_the_markers_bit_width() {
+    use flight_kernels::fixed::{fixed_point_conv, FixedWeights};
+    use flight_kernels::{CompiledNet, ExecCtx, OpCounts, QuantActivations};
+    use flight_tensor::{uniform, Tensor};
+    use flightnn::layers::{ActQuant, QuantConv2d};
+
+    // conv → ActQuant(4) → conv on 4-bit weights and activations: the
+    // marker must requantize at its own 4 bits, as the float network's
+    // `ActQuant` does, not at 8.
+    let scheme = QuantScheme::FixedPoint {
+        weight_bits: 4,
+        act_bits: 4,
+    };
+    let mut rng = TensorRng::seed(31);
+    let first = QuantConv2d::new(&mut rng, &scheme, 3, 8, 3, 1, 1);
+    let second = QuantConv2d::new(&mut rng, &scheme, 8, 4, 3, 1, 1);
+    let reference = |conv: &QuantConv2d, x: &Tensor| -> (Tensor, OpCounts) {
+        let w = conv.weights();
+        let qa = QuantActivations::quantize(x, 4);
+        let (mut y, counts) =
+            fixed_point_conv(&qa, &FixedWeights::quantize(&w.shadow().value, 4), 1, 1);
+        add_bias(&mut y, &w.bias().value);
+        (y, counts)
+    };
+    // One image, so the engine's per-image scale is the tensor scale.
+    let x = uniform(&mut rng, &[1, 3, 8, 8], -1.0, 1.0);
+    let (hidden, first_counts) = reference(&first, &x);
+    let requantized = QuantActivations::quantize(&hidden, 4).dequantize();
+    let (want, second_counts) = reference(&second, &requantized);
+
+    let mut net = QuantNet::new();
+    net.push_conv(first);
+    net.push_plain(ActQuant::new(4));
+    net.push_conv(second);
+    let compiled = CompiledNet::compile(&mut net, true).expect("compiles");
+    let (out, counts) = compiled.forward(&x, &mut ExecCtx::new());
+    assert_eq!(out.as_slice(), want.as_slice());
+    assert_eq!(counts, first_counts.merged(second_counts));
+}
+
+/// The stage kinds `net` compiles to, in order.
+fn stage_kinds(net: &mut QuantNet) -> Vec<&'static str> {
+    use flight_kernels::{CompiledNet, ExecCtx};
+    let compiled = CompiledNet::compile(net, true).expect("compiles");
+    let mut sample = flight_telemetry::StageSample::new();
+    let x = flight_tensor::Tensor::zeros(&[1, 3, 16, 16]);
+    compiled.forward_profiled(&x, &mut ExecCtx::new(), &mut sample);
+    (0..sample.stages())
+        .map(|i| sample.stage(i).expect("recorded").0)
+        .collect()
+}
+
+#[test]
+fn conv_batch_norm_and_leaky_relu_compile_to_one_stage() {
+    let build = |id: u8, scheme: &QuantScheme| {
+        NetworkConfig::by_id(id).build(scheme, &mut TensorRng::seed(3), 10, [3, 16, 16], 0.25)
+    };
+    let (c, r, p) = ("conv", "requant", "maxpool");
+    assert_eq!(
+        stage_kinds(&mut build(1, &QuantScheme::l1())),
+        [c, r, c, r, p, c, r, c, r, p, c, r, c, r, c, r, p, "linear"],
+        "network 1 quantized: 18 stages"
+    );
+    assert_eq!(
+        stage_kinds(&mut build(1, &QuantScheme::full())),
+        [c, c, p, c, c, p, c, c, c, p, "linear"],
+        "network 1 full precision: 11 stages"
+    );
+    let res = "residual";
+    assert_eq!(
+        stage_kinds(&mut build(8, &QuantScheme::l1())),
+        [
+            c,
+            r,
+            res,
+            r,
+            res,
+            r,
+            res,
+            r,
+            res,
+            r,
+            "global_avg_pool",
+            "linear"
+        ],
+        "network 8 quantized: 12 stages"
+    );
+}
+
+/// Compiles a 4-filter conv followed by `tail` and returns the error.
+fn compile_error_after_conv(
+    tail: impl FnOnce(&mut QuantNet),
+) -> flight_kernels::engine::CompileError {
+    use flightnn::layers::QuantConv2d;
+    let mut rng = TensorRng::seed(37);
+    let mut net = QuantNet::new();
+    net.push_conv(QuantConv2d::new(
+        &mut rng,
+        &QuantScheme::l1(),
+        3,
+        4,
+        3,
+        1,
+        1,
+    ));
+    tail(&mut net);
+    flight_kernels::CompiledNet::compile(&mut net, true).expect_err("must not compile")
+}
+
+#[test]
+fn a_batch_norm_not_directly_after_a_conv_is_rejected() {
+    use flight_kernels::engine::CompileError::UnsupportedLayer;
+    use flight_nn::layers::{BatchNorm2d, LeakyRelu, MaxPool2d};
+    let bn = || UnsupportedLayer("batchnorm2d(4)".into());
+    let after_pool = compile_error_after_conv(|net| {
+        net.push_plain(MaxPool2d::new(2));
+        net.push_plain(BatchNorm2d::new(4));
+    });
+    assert_eq!(after_pool, bn());
+    let after_bn = compile_error_after_conv(|net| {
+        net.push_plain(BatchNorm2d::new(4));
+        net.push_plain(BatchNorm2d::new(4));
+    });
+    assert_eq!(after_bn, bn());
+    let after_act = compile_error_after_conv(|net| {
+        net.push_plain(LeakyRelu::default());
+        net.push_plain(BatchNorm2d::new(4));
+    });
+    assert_eq!(after_act, bn());
+}
+
+#[test]
+fn a_leaky_relu_not_after_a_conv_or_its_batch_norm_is_rejected() {
+    use flight_kernels::engine::CompileError::UnsupportedLayer;
+    use flight_nn::layers::{BatchNorm2d, LeakyRelu, MaxPool2d};
+    let act = || UnsupportedLayer("leaky_relu(0.01)".into());
+    let after_pool = compile_error_after_conv(|net| {
+        net.push_plain(MaxPool2d::new(2));
+        net.push_plain(LeakyRelu::default());
+    });
+    assert_eq!(after_pool, act());
+    let after_act = compile_error_after_conv(|net| {
+        net.push_plain(BatchNorm2d::new(4));
+        net.push_plain(LeakyRelu::default());
+        net.push_plain(LeakyRelu::default());
+    });
+    assert_eq!(after_act, act());
+}
+
+#[test]
+fn a_flatten_not_directly_before_a_linear_layer_is_rejected() {
+    use flight_kernels::engine::CompileError::UnsupportedLayer;
+    use flight_nn::layers::Flatten;
+    use flightnn::layers::{ActQuant, QuantLinear};
+    let last = compile_error_after_conv(|net| net.push_plain(Flatten::new()));
+    assert_eq!(last, UnsupportedLayer("flatten".into()));
+    let before_requant = compile_error_after_conv(|net| {
+        net.push_plain(Flatten::new());
+        net.push_plain(ActQuant::new(8));
+        let mut rng = TensorRng::seed(41);
+        net.push_linear(QuantLinear::new(&mut rng, &QuantScheme::l1(), 4 * 36, 3));
+    });
+    assert_eq!(before_requant, UnsupportedLayer("flatten".into()));
 }

@@ -8,7 +8,7 @@
 //! chunks' [`OpCounts`] sum to the batch's. The serving batcher relies
 //! on the same invariant when it merges requests into one forward. It
 //! must hold for every batch size and every compiled datapath
-//! (shift-add, fixed-point, float fallback), folded or not. These tests
+//! (shift-add, fixed-point, float fallback). These tests
 //! use small hand-built untrained networks: the invariant is a property
 //! of the execution engine, not of the weights, and untrained nets keep
 //! the debug-mode test run fast.
@@ -113,9 +113,9 @@ fn forward_split(engine: &IntNetwork, x: &Tensor, per: usize) -> (Tensor, OpCoun
 /// Compiles once, then checks at every batch size in `1..=33` that the
 /// whole batch equals its parts bitwise: the four-way contiguous split
 /// (`ceil(n/4)` images per chunk) and the one-image-per-chunk split.
-fn assert_parity(net: &mut QuantNet, fold: bool, label: &str) {
-    let engine = IntNetwork::compile_with(net, CompileOptions::new().fold_batch_norm(fold))
-        .expect("test network compiles");
+fn assert_parity(net: &mut QuantNet, label: &str) {
+    let engine =
+        IntNetwork::compile_with(net, CompileOptions::new()).expect("test network compiles");
     for n in 1..=33usize {
         let x = input_batch(n, 100 + n as u64);
         let (a, ca) = engine.forward(&x);
@@ -138,36 +138,28 @@ fn assert_parity(net: &mut QuantNet, fold: bool, label: &str) {
 
 #[test]
 fn shift_l1_net_parallel_matches_sequential() {
-    assert_parity(&mut conv_net(&QuantScheme::l1(), 1), false, "l1");
+    assert_parity(&mut conv_net(&QuantScheme::l1(), 1), "l1");
 }
 
 #[test]
 fn shift_l2_net_folded_parallel_matches_sequential() {
-    assert_parity(&mut conv_net(&QuantScheme::l2(), 2), true, "l2-folded");
+    assert_parity(&mut conv_net(&QuantScheme::l2(), 2), "l2");
 }
 
 #[test]
 fn fixed_point_net_parallel_matches_sequential() {
-    assert_parity(&mut conv_net(&QuantScheme::fp4w8a(), 3), false, "fp4w8a");
+    assert_parity(&mut conv_net(&QuantScheme::fp4w8a(), 3), "fp4w8a");
 }
 
 #[test]
 fn full_precision_net_parallel_matches_sequential() {
-    assert_parity(&mut conv_net(&QuantScheme::full(), 4), true, "full-folded");
+    assert_parity(&mut conv_net(&QuantScheme::full(), 4), "full");
 }
 
 #[test]
 fn residual_net_parallel_matches_sequential() {
-    assert_parity(
-        &mut residual_net(&QuantScheme::flight(1e-5), 5),
-        false,
-        "residual",
-    );
-    assert_parity(
-        &mut residual_net(&QuantScheme::l1(), 6),
-        true,
-        "residual-folded",
-    );
+    assert_parity(&mut residual_net(&QuantScheme::flight(1e-5), 5), "residual");
+    assert_parity(&mut residual_net(&QuantScheme::l1(), 6), "residual-l1");
 }
 
 #[test]
@@ -203,21 +195,21 @@ fn compiled_net_matches_int_network_and_both_compile_paths_agree() {
     let x = input_batch(3, 55);
 
     // CompiledNet::compile + ExecCtx forward equals the IntNetwork
-    // facade, folded and unfolded.
-    for (fold, seed) in [(false, 11u64), (true, 12u64)] {
+    // facade.
+    for seed in [11u64, 12] {
         let facade = IntNetwork::compile_with(
             &mut conv_net(&QuantScheme::l2(), seed),
-            CompileOptions::new().fold_batch_norm(fold),
+            CompileOptions::new(),
         )
         .expect("compiles");
         let bare =
-            CompiledNet::compile(&mut conv_net(&QuantScheme::l2(), seed), fold).expect("compiles");
+            CompiledNet::compile(&mut conv_net(&QuantScheme::l2(), seed), true).expect("compiles");
         assert_eq!(bare.stages(), facade.stages());
         let mut ctx = ExecCtx::new();
         let (bl, bc) = bare.forward(&x, &mut ctx);
         let (fl, fc) = facade.forward(&x);
-        assert_eq!(bl.as_slice(), fl.as_slice(), "fold={fold}: logits diverge");
-        assert_eq!(bc, fc, "fold={fold}: counts diverge");
+        assert_eq!(bl.as_slice(), fl.as_slice(), "seed {seed}: logits diverge");
+        assert_eq!(bc, fc, "seed {seed}: counts diverge");
     }
 }
 
@@ -263,22 +255,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any `CompileOptions` combination must produce the same logits and
-    /// counts as the plain null-sink reference with matching folding —
-    /// the scalar-path pin and telemetry are dispatch and observability
-    /// knobs, never numerics knobs.
+    /// counts as the plain null-sink reference — the scalar-path pin and
+    /// telemetry are dispatch and observability knobs, never numerics
+    /// knobs.
     #[test]
     fn random_compile_options_never_change_the_numbers(
-        fold in any::<bool>(),
         force_scalar in any::<bool>(),
         trace in any::<bool>(),
         n in 1usize..7,
     ) {
         let mut reference_net = conv_net(&QuantScheme::l2(), 42);
-        let reference = IntNetwork::compile_with(
-            &mut reference_net,
-            CompileOptions::new().fold_batch_norm(fold),
-        )
-        .expect("compiles");
+        let reference = IntNetwork::compile_with(&mut reference_net, CompileOptions::new())
+            .expect("compiles");
 
         let telemetry = if trace {
             Telemetry::new(Arc::new(CollectingSink::new()))
@@ -289,7 +277,6 @@ proptest! {
         let engine = IntNetwork::compile_with(
             &mut net,
             CompileOptions::new()
-                .fold_batch_norm(fold)
                 .force_scalar(force_scalar)
                 .telemetry(telemetry),
         )

@@ -91,6 +91,30 @@ impl BatchNorm2d {
         self.eps
     }
 
+    /// The eval forward as a per-channel affine `y = a·x + b`, returned
+    /// as `(a, b)` over `[channels]`: what an integer pipeline folds into
+    /// the preceding conv's epilogue.
+    ///
+    /// Both come from the eval forward's own expression at `x = 0` and
+    /// `x = 1` (`b = BN(0)`, `a = BN(1) − b`), so they equal, bit for
+    /// bit, what probing the layer with those inputs returns.
+    pub fn eval_affine(&self) -> (Tensor, Tensor) {
+        let (a, b): (Vec<f32>, Vec<f32>) = (0..self.channels())
+            .map(|ch| {
+                let mean = self.running_mean.as_slice()[ch];
+                let inv_std = 1.0 / (self.running_var.as_slice()[ch] + self.eps).sqrt();
+                let (g, b0) = (
+                    self.gamma.value.as_slice()[ch],
+                    self.beta.value.as_slice()[ch],
+                );
+                let at = |x: f32| g * ((x - mean) * inv_std) + b0;
+                let b = at(0.0);
+                (at(1.0) - b, b)
+            })
+            .unzip();
+        (Tensor::from_slice(&a), Tensor::from_slice(&b))
+    }
+
     fn check_input(&self, input: &Tensor) {
         assert_eq!(
             input.shape().rank(),
@@ -319,6 +343,35 @@ mod tests {
         });
         let err = flight_tensor::grad_check::gradient_relative_error(&bn.gamma.grad, &ng);
         assert!(err < 2e-2, "gamma grad error {err}");
+    }
+
+    #[test]
+    fn eval_affine_equals_the_probe_and_the_eval_forward() {
+        let mut rng = TensorRng::seed(11);
+        let c = 64;
+        let mut bn = BatchNorm2d::new(c);
+        bn.gamma.value = uniform(&mut rng, &[c], -2.0, 2.0);
+        bn.beta.value = uniform(&mut rng, &[c], -1.0, 1.0);
+        bn.running_mean = uniform(&mut rng, &[c], -3.0, 3.0);
+        bn.running_var = uniform(&mut rng, &[c], 1e-3, 4.0);
+        let (a, b) = bn.eval_affine();
+
+        // The reference: probe the eval forward with basis inputs.
+        let probe_b = bn.forward(&Tensor::zeros(&[1, c, 1, 1]), false);
+        let probe_a = &bn.forward(&Tensor::ones(&[1, c, 1, 1]), false) - &probe_b;
+        assert_eq!(a.as_slice(), probe_a.as_slice());
+        assert_eq!(b.as_slice(), probe_b.as_slice());
+
+        let x = uniform(&mut rng, &[2, c, 3, 3], -4.0, 4.0);
+        let y = bn.forward(&x, false);
+        for (i, (&xv, &yv)) in x.as_slice().iter().zip(y.as_slice()).enumerate() {
+            let ch = (i / 9) % c;
+            let affine = a.as_slice()[ch] * xv + b.as_slice()[ch];
+            assert!(
+                (affine - yv).abs() <= 1e-4 * yv.abs().max(1.0),
+                "channel {ch}: a·x + b = {affine}, forward {yv}"
+            );
+        }
     }
 
     #[test]

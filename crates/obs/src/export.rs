@@ -270,7 +270,7 @@ pub fn export_chrome(trace: &Trace) -> (JsonValue, ExportStats) {
 ///
 /// ```text
 /// serve;forward;stage.0.conv 48213
-/// serve;forward;stage.1.leaky_relu 912
+/// serve;forward;stage.1.requant 912
 /// ```
 ///
 /// One line per compiled stage with at least one sample, frame stack

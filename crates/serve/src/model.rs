@@ -69,7 +69,8 @@ pub fn scheme_by_label(label: &str) -> Result<QuantScheme, String> {
 }
 
 impl ModelSpec {
-    /// Builds and compiles the spec (batch norms folded).
+    /// Builds and compiles the spec (batch norms fused into the conv
+    /// stages).
     ///
     /// # Errors
     ///

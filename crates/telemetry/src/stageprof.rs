@@ -159,7 +159,7 @@ impl StageSample {
 /// op throughput inputs.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct StageStat {
-    /// Stage kind (`conv`, `affine`, …); [`MIXED_KIND`] when recordings
+    /// Stage kind (`conv`, `requant`, …); [`MIXED_KIND`] when recordings
     /// disagreed, empty while the slot has never been recorded.
     pub kind: String,
     /// Per-sample stage wall time, milliseconds.

@@ -40,10 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut deployed = cfg.build(&scheme, &mut rng2, data.classes(), data.image_dims(), 0.25);
     load_params(&mut deployed, &mut checkpoint.as_slice())?;
 
-    // 3. Compile to the integer pipeline with folded batch norms. Each
+    // 3. Compile to the integer pipeline: every conv → batch norm →
+    //    LeakyReLU becomes one conv stage with a fused epilogue. Each
     //    forward runs its batch on the calling thread.
-    let engine =
-        IntNetwork::compile_with(&mut deployed, CompileOptions::new().fold_batch_norm(true))?;
+    let engine = IntNetwork::compile_with(&mut deployed, CompileOptions::new())?;
     println!("compiled integer pipeline: {} stages", engine.stages());
 
     // 4. Compare float vs integer accuracy, and count operations.
