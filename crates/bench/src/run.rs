@@ -31,8 +31,8 @@ pub const BENCH_DIR_ENV: &str = "FLIGHT_BENCH_DIR";
 
 /// The host a manifest's numbers were measured on. Throughput-style
 /// metrics are machine-dependent; recording the machine in the manifest
-/// makes cross-run comparisons (perfbench's A/B runs, the capacity
-/// planner) interpretable instead of mysterious.
+/// makes cross-run comparisons (perfbench's A/B runs, serve manifests
+/// from different hosts) interpretable instead of mysterious.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostEnv {
     /// Logical core count (`available_parallelism`).

@@ -61,8 +61,9 @@ pub(crate) enum IntWeights {
     /// Integer multiplies (fixed-point baseline).
     Fixed(FixedWeights),
     /// Float fallback (full-precision models; kept so any `QuantNet`
-    /// compiles).
-    Float(Tensor),
+    /// compiles). The bias lives in the epilogue, so the conv's own
+    /// bias is zero, built once here rather than per forward.
+    Float { weights: Tensor, zero_bias: Tensor },
 }
 
 /// One quantized conv (or linear layer) and its fused per-output-channel
@@ -79,7 +80,7 @@ pub(crate) struct ConvStage {
     scale: Vec<f32>,
     shift: Vec<f32>,
     slope: Option<f32>,
-    /// A linear layer: a 1×1 conv over its input lifted to
+    /// A linear layer: a 1×1 conv over its input read as
     /// `[n, f, 1, 1]`, returning `[n, classes]`.
     linear: bool,
 }
@@ -568,7 +569,10 @@ impl ConvStage {
         } else if w.is_shift_based() {
             IntWeights::Shift(ShiftKernel::compile(&shift_plan(w), &dims))
         } else {
-            IntWeights::Float(w.shadow().value.reshape(&dims))
+            IntWeights::Float {
+                weights: w.shadow().value.reshape(&dims),
+                zero_bias: Tensor::zeros(&[dims[0]]),
+            }
         };
         let shift = w.bias().value.as_slice().to_vec();
         ConvStage {
@@ -601,20 +605,27 @@ impl ConvStage {
         scratch: &mut Scratch,
         obs: &mut O,
     ) -> Tensor {
-        let n = x.dims()[0];
-        let lifted = self
-            .linear
-            .then(|| x.reshape(&[n, x.len() / n.max(1), 1, 1]));
-        let x = lifted.as_ref().unwrap_or(x);
-        assert_eq!(x.dims().len(), 4, "conv input must be [n, c, h, w]");
+        // A linear stage reads any rank as `[n, f, 1, 1]`: per-image
+        // slabs are contiguous either way.
+        let dims = match (self.linear, x.dims()) {
+            (true, &[n, ..]) => [n, x.len() / n.max(1), 1, 1],
+            (false, &[n, c, h, w]) => [n, c, h, w],
+            _ => panic!("conv input must be [n, c, h, w]"),
+        };
+        let n = dims[0];
         let mut out = match &self.weights {
-            IntWeights::Shift(k) => self.int_conv(k, x, counts, scratch, obs),
-            IntWeights::Fixed(k) => self.int_conv(k, x, counts, scratch, obs),
-            IntWeights::Float(w) => {
+            IntWeights::Shift(k) => self.int_conv(k, x, dims, counts, scratch, obs),
+            IntWeights::Fixed(k) => self.int_conv(k, x, dims, counts, scratch, obs),
+            IntWeights::Float {
+                weights: w,
+                zero_bias,
+            } => {
+                // `conv2d_forward` needs rank 4: lift a linear stage's input.
+                let lifted = self.linear.then(|| x.reshape(&dims));
                 let (o, _) = flight_nn::layers::functional::conv2d_forward(
-                    x,
+                    lifted.as_ref().unwrap_or(x),
                     w,
-                    &Tensor::zeros(&[w.dims()[0]]),
+                    zero_bias,
                     self.stride,
                     self.padding,
                     false,
@@ -644,18 +655,18 @@ impl ConvStage {
         out
     }
 
-    /// The integer conv of both datapaths: quantize activations per
-    /// image through the scratch buffers, then run the kernel's lowered
-    /// program.
+    /// The integer conv of both datapaths over `x` read as `d`: quantize
+    /// activations per image through the scratch buffers (any rank reads
+    /// as flat per-image slabs), then run the kernel's lowered program.
     fn int_conv<K: TapOp, O: StageObserver>(
         &self,
         kernel: &K,
         x: &Tensor,
+        d: [usize; 4],
         counts: &mut OpCounts,
         scratch: &mut Scratch,
         obs: &mut O,
     ) -> Tensor {
-        let d = x.dims();
         QuantActivations::quantize_per_image_into(
             x,
             self.act_bits,

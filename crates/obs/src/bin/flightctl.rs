@@ -1,8 +1,7 @@
-//! `flightctl` — trace analysis, live dashboards, and capacity planning.
+//! `flightctl` — trace analysis and live dashboards.
 //!
 //! ```text
 //! flightctl summarize <trace.jsonl> [--json]
-//! flightctl capacity <manifest.json> --qps <target> [--p99-ms <bound>]
 //! flightctl health <trace.jsonl> [--json]
 //! flightctl export <trace.jsonl> [--format chrome|folded] [--out <path>]
 //! flightctl watch <trace.jsonl> [--once|--follow] [--interval <ms>] [--idle-exit <secs>]
@@ -12,14 +11,13 @@
 //!                   [--window <life|1s|10s|60s>]
 //! ```
 //!
-//! Exit codes: `0` success, `1` health warnings, SLO breach or
-//! infeasible capacity, `2` usage or I/O errors. Flag parsing is the shared
-//! [`flight_obs::cli`] vocabulary parser — every subcommand accepts
-//! both `--flag value` and `--flag=value` and rejects unknown flags.
+//! Exit codes: `0` success, `1` health warnings or SLO breach, `2` usage
+//! or I/O errors. Flag parsing is the shared [`flight_obs::cli`]
+//! vocabulary parser — every subcommand accepts both `--flag value` and
+//! `--flag=value` and rejects unknown flags.
 
 use std::io::IsTerminal;
 
-use flight_obs::capacity::{plan_capacity, CapacityError, CapacityRequest, DEFAULT_HEADROOM};
 use flight_obs::cli::{parse_cli, EXIT_FAIL, EXIT_OK, EXIT_USAGE};
 use flight_obs::profile::{profile, ProfileOptions, PROFILE_WINDOW_LABELS};
 use flight_obs::tick::TickOptions;
@@ -29,8 +27,6 @@ use flight_obs::{export_chrome, export_folded, health, read_trace, summarize, su
 
 const USAGE: &str = "usage:
   flightctl summarize <trace.jsonl> [--json]
-  flightctl capacity <BENCH_*.manifest.json> --qps <target> [--p99-ms <bound>]
-                 [--headroom <frac>] [--json]
   flightctl health <trace.jsonl> [--json]
   flightctl export <trace.jsonl> [--format chrome|folded] [--out <path>]
   flightctl watch <trace.jsonl> [--once|--follow] [--interval <ms>] [--idle-exit <secs>]
@@ -39,9 +35,7 @@ const USAGE: &str = "usage:
   flightctl profile <addr> [--once|--follow] [--interval <ms>]
                 [--window <life|1s|10s|60s>] [--idle-exit <secs>]
 
-inputs are JSONL telemetry traces (FLIGHT_TELEMETRY=jsonl:<path>); capacity
-takes a run manifest carrying a `scaling` block, such as loadgen's
-BENCH_serve.manifest.json.
+inputs are JSONL telemetry traces (FLIGHT_TELEMETRY=jsonl:<path>).
 export writes Chrome trace-event JSON for Perfetto / chrome://tracing;
 --format folded takes a saved `flightq profile` snapshot instead and
 writes flamegraph folded stacks (flamegraph.pl / inferno / speedscope).
@@ -51,7 +45,7 @@ renders every compiled stage's share of forward time, hottest first.
 top polls a running flight-serve server's stats/exemplars verbs; with
 --slo-p99-ms / --error-budget it exits 1 when the SLO is breached over
 the chosen window, so `top --once` doubles as a deploy health gate.
-exit codes: 0 ok, 1 warnings/SLO breach/infeasible, 2 usage or I/O error.";
+exit codes: 0 ok, 1 warnings/SLO breach, 2 usage or I/O error.";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -61,7 +55,6 @@ fn main() {
 fn run(args: &[String]) -> i32 {
     match args.first().map(String::as_str) {
         Some("summarize") => cmd_summarize(&args[1..]),
-        Some("capacity") => cmd_capacity(&args[1..]),
         Some("health") => cmd_health(&args[1..]),
         Some("export") => cmd_export(&args[1..]),
         Some("watch") => cmd_watch(&args[1..]),
@@ -391,57 +384,6 @@ fn cmd_profile(args: &[String]) -> i32 {
         }
         Err(e) => {
             eprintln!("flightctl: profile {addr}: {e}");
-            EXIT_USAGE
-        }
-    }
-}
-
-fn cmd_capacity(args: &[String]) -> i32 {
-    let parsed = match parse_cli(args, &["--qps", "--p99-ms", "--headroom"], &["--json"]) {
-        Ok(parsed) => parsed,
-        Err(e) => return usage_error(&e),
-    };
-    let request = (|| -> Result<CapacityRequest, String> {
-        Ok(CapacityRequest {
-            target_qps: parsed
-                .f64_value("--qps", |v| v > 0.0, "a positive number")?
-                .ok_or_else(|| "capacity needs --qps <target>".to_string())?,
-            p99_bound_ms: parsed.f64_value("--p99-ms", |v| v > 0.0, "a positive number (ms)")?,
-            headroom: parsed
-                .f64_value(
-                    "--headroom",
-                    |v| v > 0.0 && v <= 1.0,
-                    "a fraction in (0, 1]",
-                )?
-                .unwrap_or(DEFAULT_HEADROOM),
-        })
-    })();
-    let request = match request {
-        Ok(r) => r,
-        Err(e) => return usage_error(&e),
-    };
-    let [path] = parsed.positionals() else {
-        return usage_error("capacity takes exactly one manifest path");
-    };
-    let manifest = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => return io_error(path, e),
-    };
-    match plan_capacity(&manifest, &request) {
-        Ok(plan) => {
-            if parsed.switch("--json") {
-                println!("{}", plan.render_json());
-            } else {
-                print!("{}", plan.render());
-            }
-            EXIT_OK
-        }
-        Err(e @ CapacityError::Infeasible(_)) => {
-            eprintln!("flightctl: {e}");
-            EXIT_FAIL
-        }
-        Err(e) => {
-            eprintln!("flightctl: {e}");
             EXIT_USAGE
         }
     }

@@ -12,8 +12,7 @@
 
 /// Success.
 pub const EXIT_OK: i32 = 0;
-/// The check itself failed: health warnings, SLO breach, infeasible
-/// capacity.
+/// The check itself failed: health warnings or an SLO breach.
 pub const EXIT_FAIL: i32 = 1;
 /// Usage or I/O error — the tool never got to the check.
 pub const EXIT_USAGE: i32 = 2;

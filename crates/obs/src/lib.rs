@@ -3,16 +3,13 @@
 //!
 //! Every run in this workspace can write a JSONL telemetry trace
 //! (`FLIGHT_TELEMETRY=jsonl:run.jsonl`) — one event per line, one shape
-//! for every reader below — and loadgen writes a serve run manifest.
-//! This crate turns those files back into answers, through the
-//! `flightctl` binary:
+//! for every reader below. This crate turns those traces, and a running
+//! server's live verbs, back into answers through the `flightctl`
+//! binary:
 //!
 //! * `flightctl summarize <trace>` — span table (count, total/self
 //!   time, p50/p95/max), top op counters, final `k_i` histogram, and
 //!   threshold trajectories ([`summarize`]).
-//! * `flightctl capacity <manifest> --qps N` — turn loadgen's measured
-//!   serve manifest into a replica/core sizing under a p99 bound,
-//!   reconciled against the analytic accelerator models ([`capacity`]).
 //! * `flightctl health <trace>` — drift/saturation/clamp-rate and
 //!   training-dynamics (gradient-norm, L_reg-stagnation) checks over
 //!   the training signals ([`health`]).
@@ -42,7 +39,6 @@
 //! reconstruction tolerates unclosed spans and interleaved workers
 //! ([`tree`]).
 
-pub mod capacity;
 pub mod cli;
 pub mod export;
 pub mod health;
@@ -54,7 +50,6 @@ pub mod trace;
 pub mod tree;
 pub mod watch;
 
-pub use capacity::{plan_capacity, CapacityError, CapacityPlan, CapacityRequest};
 pub use cli::{parse_cli, ParsedArgs, EXIT_FAIL, EXIT_OK, EXIT_USAGE};
 pub use export::{export_chrome, export_folded, ExportStats};
 pub use health::{health, HealthReport};

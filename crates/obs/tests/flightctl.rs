@@ -265,7 +265,14 @@ fn usage_and_io_errors_exit_two() {
             .code(),
         Some(2)
     );
-    // The retired run comparator is an unknown subcommand now.
+    // The retired run comparator and capacity planner are unknown
+    // subcommands now.
     assert_eq!(flightctl(&["diff", "a", "b"]).status.code(), Some(2));
+    assert_eq!(
+        flightctl(&["capacity", "m.json", "--qps", "10"])
+            .status
+            .code(),
+        Some(2)
+    );
     assert_eq!(flightctl(&["help"]).status.code(), Some(0));
 }

@@ -19,12 +19,11 @@
 //!
 //! Writes `BENCH_serve.manifest.json` (under `FLIGHT_BENCH_DIR`) with a
 //! `serve` block (QPS, p50/p99/p999, reject/error counts, server-side
-//! stats) and a `scaling` block in the exact shape `flightctl capacity`
-//! consumes — so the serving tier can be capacity-planned from measured
-//! numbers. The `serve` block distinguishes
-//! `offered_qps` (every attempt the closed-loop clients made, including
-//! rejections and failures) from `achieved_qps` (successful replies
-//! only); a widening gap between the two is the backpressure signal.
+//! stats) and no exhibit tables: the manifest holds only what the run
+//! measured. The `serve` block distinguishes `offered_qps` (every
+//! attempt the closed-loop clients made, including rejections and
+//! failures) from `achieved_qps` (successful replies only); a widening
+//! gap between the two is the backpressure signal.
 //! `--swap-every N` additionally triggers a hot model swap (same spec,
 //! bumped seed) every N requests across all clients, exercising the
 //! swap path under live traffic; the manifest records the swap count.
@@ -38,7 +37,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use flight_bench::suite::ModelRow;
 use flight_bench::BenchRun;
 use flight_obs::cli::{parse_cli, ParsedArgs, EXIT_FAIL, EXIT_USAGE};
 use flight_serve::{ModelSpec, ServeClient, Server, ServerConfig};
@@ -370,22 +368,7 @@ fn run() -> i32 {
         )
         .field("server_stats", server_stats)
         .build();
-    let scaling_block = scaling_block(&knobs, qps, &e2e_ms);
-
-    let rows = vec![ModelRow {
-        label: format!("serve w{} b{}", knobs.workers, knobs.max_batch),
-        accuracy: 0.0,
-        storage_mb: 0.0,
-        throughput: qps,
-        speedup: 1.0,
-        energy_uj: 0.0,
-        mean_k: None,
-    }];
-    run.finish_with(
-        None,
-        &[("serve".to_string(), rows)],
-        &[("serve", serve_block), ("scaling", scaling_block)],
-    );
+    run.finish_with(None, &[], &[("serve", serve_block)]);
 
     if ok == 0 {
         eprintln!("loadgen: no request succeeded");
@@ -500,39 +483,4 @@ fn profile_overhead_pct(spec: &ModelSpec, smoke: bool) -> f64 {
     } else {
         0.0
     }
-}
-
-/// The `scaling` block in the shape `flightctl capacity` parses: this
-/// run is one measured worker×batch configuration.
-fn scaling_block(knobs: &Knobs, qps: f64, e2e_ms: &Log2Histogram) -> JsonValue {
-    let [c, h, w] = knobs.spec.image_dims;
-    let ms = |q: f64| e2e_ms.percentile(q);
-    let config = JsonObject::new()
-        .field("workers", knobs.workers)
-        .field("batch", knobs.max_batch)
-        .field("qps", qps)
-        .field("samples", e2e_ms.total())
-        .field(
-            "latency_ms",
-            JsonObject::new()
-                .field("min", if e2e_ms.is_empty() { 0.0 } else { e2e_ms.min() })
-                .field("p50", ms(0.50))
-                .field("p90", ms(0.90))
-                .field("p95", ms(0.95))
-                .field("p99", ms(0.99))
-                .field("p999", ms(0.999))
-                .field("max", if e2e_ms.is_empty() { 0.0 } else { e2e_ms.max() })
-                .build(),
-        )
-        .build();
-    JsonObject::new()
-        .field("network", knobs.spec.network as u64)
-        .field("scheme", knobs.spec.scheme.as_str())
-        .field(
-            "image_dims",
-            vec![JsonValue::from(c), JsonValue::from(h), JsonValue::from(w)],
-        )
-        .field("source", "loadgen")
-        .field("configs", vec![config])
-        .build()
 }

@@ -10,7 +10,8 @@
 //! within one bucket of the exact sorted-sample percentile, whether the
 //! sample is a microsecond or a minute.
 //!
-//! Two properties the tests (and `flightctl capacity`) rely on:
+//! Two properties the tests (and the server's stats windows and
+//! loadgen's serve manifest) rely on:
 //!
 //! * **merge == whole**: bucket counts are plain sums and min/max fold
 //!   with `f64::min`/`max`, so merging per-worker shards is bit-identical

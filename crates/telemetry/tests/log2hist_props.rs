@@ -1,5 +1,5 @@
 //! Property tests for [`Log2Histogram`]: the two guarantees the
-//! capacity planner leans on — percentile reads stay within one bucket
+//! latency readers lean on — percentile reads stay within one bucket
 //! of the exact order statistic, and merging per-worker shards is
 //! bit-identical to recording everything into one histogram.
 

@@ -147,3 +147,39 @@ fn energy_and_throughput_agree_on_winners() {
     assert!(results[0].0 > results[1].0);
     assert!(results[0].1 < results[1].1);
 }
+
+#[test]
+fn every_conv_layer_implements_and_costs_energy_on_every_network() {
+    // The whole conv plan, not just the largest layer: every layer of
+    // every network fits the ZC706 with a finite, positive throughput
+    // and costs finite, positive ASIC energy under each scheme.
+    let table = OpEnergy::nm65();
+    let schemes = [
+        ("Full", QuantScheme::full()),
+        ("L-2", QuantScheme::l2()),
+        ("L-1", QuantScheme::l1()),
+        ("FP 4W8A", QuantScheme::fp4w8a()),
+    ];
+    for id in 1..=8u8 {
+        let cfg = NetworkConfig::by_id(id);
+        let plan = cfg.conv_plan(native_image(&cfg), 1.0);
+        assert!(!plan.is_empty(), "network {id}: empty conv plan");
+        for (label, scheme) in &schemes {
+            let style = ComputeStyle::from_scheme(scheme, None);
+            for (i, spec) in plan.iter().enumerate() {
+                let imp = implement_layer(&design(*spec, scheme, None), &ZC706)
+                    .unwrap_or_else(|e| panic!("network {id} {label} layer {i}: {e}"));
+                assert!(
+                    imp.throughput.is_finite() && imp.throughput > 0.0,
+                    "network {id} {label} layer {i}: throughput {}",
+                    imp.throughput
+                );
+                let energy = flight_asic::layer_energy_uj(spec, &style, &table);
+                assert!(
+                    energy.is_finite() && energy > 0.0,
+                    "network {id} {label} layer {i}: energy {energy} µJ"
+                );
+            }
+        }
+    }
+}
