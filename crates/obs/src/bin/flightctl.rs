@@ -6,9 +6,7 @@
 //! flightctl export <trace.jsonl> [--format chrome|folded] [--out <path>]
 //! flightctl watch <trace.jsonl> [--once|--follow] [--interval <ms>] [--idle-exit <secs>]
 //! flightctl top <addr> [--once|--follow] [--interval <ms>] [--window <1s|10s|60s>]
-//!               [--slo-p99-ms <ms>] [--error-budget <frac>]
-//! flightctl profile <addr> [--once|--follow] [--interval <ms>]
-//!                   [--window <life|1s|10s|60s>]
+//!               [--slo-p99-ms <ms>] [--error-budget <frac>] [--idle-exit <secs>]
 //! ```
 //!
 //! Exit codes: `0` success, `1` health warnings or SLO breach, `2` usage
@@ -18,11 +16,10 @@
 
 use std::io::IsTerminal;
 
-use flight_obs::cli::{parse_cli, EXIT_FAIL, EXIT_OK, EXIT_USAGE};
-use flight_obs::profile::{profile, ProfileOptions, PROFILE_WINDOW_LABELS};
+use flight_obs::cli::{parse_cli, ParsedArgs, EXIT_FAIL, EXIT_OK, EXIT_USAGE};
 use flight_obs::tick::TickOptions;
 use flight_obs::top::{top, TopOptions, WINDOW_LABELS};
-use flight_obs::watch::{watch, WatchOptions};
+use flight_obs::watch::watch;
 use flight_obs::{export_chrome, export_folded, health, read_trace, summarize, summarize_json};
 
 const USAGE: &str = "usage:
@@ -32,19 +29,16 @@ const USAGE: &str = "usage:
   flightctl watch <trace.jsonl> [--once|--follow] [--interval <ms>] [--idle-exit <secs>]
   flightctl top <addr> [--once|--follow] [--interval <ms>] [--window <1s|10s|60s>]
                 [--slo-p99-ms <ms>] [--error-budget <frac>] [--idle-exit <secs>]
-  flightctl profile <addr> [--once|--follow] [--interval <ms>]
-                [--window <life|1s|10s|60s>] [--idle-exit <secs>]
 
 inputs are JSONL telemetry traces (FLIGHT_TELEMETRY=jsonl:<path>).
 export writes Chrome trace-event JSON for Perfetto / chrome://tracing;
 --format folded takes a saved `flightq profile` snapshot instead and
 writes flamegraph folded stacks (flamegraph.pl / inferno / speedscope).
 watch tails a live trace; it follows on a TTY and prints one plain report otherwise.
-profile polls the server's per-layer profiler (the `profile` verb) and
-renders every compiled stage's share of forward time, hottest first.
-top polls a running flight-serve server's stats/exemplars verbs; with
---slo-p99-ms / --error-budget it exits 1 when the SLO is breached over
-the chosen window, so `top --once` doubles as a deploy health gate.
+top polls a running flight-serve server's stats/exemplars/profile verbs
+and lists every compiled stage's share of forward time, hottest first;
+with --slo-p99-ms / --error-budget it exits 1 when the SLO is breached
+over the chosen window, so `top --once` doubles as a deploy health gate.
 exit codes: 0 ok, 1 warnings/SLO breach, 2 usage or I/O error.";
 
 fn main() {
@@ -59,7 +53,6 @@ fn run(args: &[String]) -> i32 {
         Some("export") => cmd_export(&args[1..]),
         Some("watch") => cmd_watch(&args[1..]),
         Some("top") => cmd_top(&args[1..]),
-        Some("profile") => cmd_profile(&args[1..]),
         Some("-h" | "--help" | "help") => {
             println!("{USAGE}");
             EXIT_OK
@@ -195,6 +188,27 @@ fn cmd_export(args: &[String]) -> i32 {
     EXIT_OK
 }
 
+/// Reads the shared `--once`/`--follow`/`--interval`/`--idle-exit`
+/// flags. Without `--once` or `--follow`, follows on a TTY.
+fn tick_options(parsed: &ParsedArgs, default_interval_ms: u64) -> Result<TickOptions, String> {
+    let follow = if parsed.switch("--follow") {
+        true
+    } else if parsed.switch("--once") {
+        false
+    } else {
+        std::io::stdout().is_terminal()
+    };
+    Ok(TickOptions {
+        follow,
+        interval_ms: parsed
+            .u64_value("--interval", |v| v > 0, "a positive integer (ms)")?
+            .unwrap_or(default_interval_ms),
+        idle_exit_ms: parsed
+            .f64_value("--idle-exit", |v| v >= 0.0, "a non-negative number (s)")?
+            .map(|secs| (secs * 1000.0) as u64),
+    })
+}
+
 fn cmd_watch(args: &[String]) -> i32 {
     let parsed = match parse_cli(
         args,
@@ -204,33 +218,10 @@ fn cmd_watch(args: &[String]) -> i32 {
         Ok(parsed) => parsed,
         Err(e) => return usage_error(&e),
     };
-    let mut opts = WatchOptions {
-        follow: std::io::stdout().is_terminal(),
-        ..WatchOptions::default()
-    };
-    if parsed.switch("--once") {
-        opts.follow = false;
-    }
-    if parsed.switch("--follow") {
-        opts.follow = true;
-    }
-    let numbers = (|| -> Result<(Option<u64>, Option<f64>), String> {
-        Ok((
-            parsed.u64_value("--interval", |v| v > 0, "a positive integer (ms)")?,
-            parsed.f64_value("--idle-exit", |v| v >= 0.0, "a non-negative number (s)")?,
-        ))
-    })();
-    match numbers {
-        Ok((interval, idle_exit)) => {
-            if let Some(ms) = interval {
-                opts.interval_ms = ms;
-            }
-            if let Some(secs) = idle_exit {
-                opts.idle_exit_ms = Some((secs * 1000.0) as u64);
-            }
-        }
+    let opts = match tick_options(&parsed, TickOptions::default().interval_ms) {
+        Ok(opts) => opts,
         Err(e) => return usage_error(&e),
-    }
+    };
     let [path] = parsed.positionals() else {
         return usage_error("watch takes exactly one trace path");
     };
@@ -242,6 +233,26 @@ fn cmd_watch(args: &[String]) -> i32 {
             EXIT_USAGE
         }
     }
+}
+
+/// Reads `top`'s window, SLO rules and tick flags.
+fn top_options(parsed: &ParsedArgs) -> Result<TopOptions, String> {
+    let window = parsed.value("--window").unwrap_or("10s");
+    if !WINDOW_LABELS.contains(&window) {
+        return Err(format!(
+            "--window must be one of {WINDOW_LABELS:?}, got {window:?}"
+        ));
+    }
+    Ok(TopOptions {
+        tick: tick_options(parsed, 1000)?,
+        window: window.to_string(),
+        slo_p99_ms: parsed.f64_value("--slo-p99-ms", |v| v > 0.0, "a positive number (ms)")?,
+        error_budget: parsed.f64_value(
+            "--error-budget",
+            |v| (0.0..=1.0).contains(&v),
+            "a fraction in [0, 1]",
+        )?,
+    })
 }
 
 fn cmd_top(args: &[String]) -> i32 {
@@ -259,49 +270,10 @@ fn cmd_top(args: &[String]) -> i32 {
         Ok(parsed) => parsed,
         Err(e) => return usage_error(&e),
     };
-    let mut opts = TopOptions {
-        tick: TickOptions {
-            follow: std::io::stdout().is_terminal(),
-            interval_ms: 1000,
-            idle_exit_ms: None,
-        },
-        ..TopOptions::default()
+    let opts = match top_options(&parsed) {
+        Ok(opts) => opts,
+        Err(e) => return usage_error(&e),
     };
-    if parsed.switch("--once") {
-        opts.tick.follow = false;
-    }
-    if parsed.switch("--follow") {
-        opts.tick.follow = true;
-    }
-    if let Some(window) = parsed.value("--window") {
-        if !WINDOW_LABELS.contains(&window) {
-            return usage_error(&format!(
-                "--window must be one of {WINDOW_LABELS:?}, got {window:?}"
-            ));
-        }
-        opts.window = window.to_string();
-    }
-    let numbers = (|| -> Result<(), String> {
-        if let Some(ms) = parsed.u64_value("--interval", |v| v > 0, "a positive integer (ms)")? {
-            opts.tick.interval_ms = ms;
-        }
-        if let Some(secs) =
-            parsed.f64_value("--idle-exit", |v| v >= 0.0, "a non-negative number (s)")?
-        {
-            opts.tick.idle_exit_ms = Some((secs * 1000.0) as u64);
-        }
-        opts.slo_p99_ms =
-            parsed.f64_value("--slo-p99-ms", |v| v > 0.0, "a positive number (ms)")?;
-        opts.error_budget = parsed.f64_value(
-            "--error-budget",
-            |v| (0.0..=1.0).contains(&v),
-            "a fraction in [0, 1]",
-        )?;
-        Ok(())
-    })();
-    if let Err(e) = numbers {
-        return usage_error(&e);
-    }
     let [addr] = parsed.positionals() else {
         return usage_error("top takes exactly one server address (host:port)");
     };
@@ -319,71 +291,6 @@ fn cmd_top(args: &[String]) -> i32 {
         }
         Err(e) => {
             eprintln!("flightctl: top {addr}: {e}");
-            EXIT_USAGE
-        }
-    }
-}
-
-fn cmd_profile(args: &[String]) -> i32 {
-    let parsed = match parse_cli(
-        args,
-        &["--interval", "--idle-exit", "--window"],
-        &["--once", "--follow"],
-    ) {
-        Ok(parsed) => parsed,
-        Err(e) => return usage_error(&e),
-    };
-    let mut opts = ProfileOptions {
-        tick: TickOptions {
-            follow: std::io::stdout().is_terminal(),
-            interval_ms: 1000,
-            idle_exit_ms: None,
-        },
-        ..ProfileOptions::default()
-    };
-    if parsed.switch("--once") {
-        opts.tick.follow = false;
-    }
-    if parsed.switch("--follow") {
-        opts.tick.follow = true;
-    }
-    if let Some(window) = parsed.value("--window") {
-        if !PROFILE_WINDOW_LABELS.contains(&window) {
-            return usage_error(&format!(
-                "--window must be one of {PROFILE_WINDOW_LABELS:?}, got {window:?}"
-            ));
-        }
-        opts.window = window.to_string();
-    }
-    let numbers = (|| -> Result<(), String> {
-        if let Some(ms) = parsed.u64_value("--interval", |v| v > 0, "a positive integer (ms)")? {
-            opts.tick.interval_ms = ms;
-        }
-        if let Some(secs) =
-            parsed.f64_value("--idle-exit", |v| v >= 0.0, "a non-negative number (s)")?
-        {
-            opts.tick.idle_exit_ms = Some((secs * 1000.0) as u64);
-        }
-        Ok(())
-    })();
-    if let Err(e) = numbers {
-        return usage_error(&e);
-    }
-    let [addr] = parsed.positionals() else {
-        return usage_error("profile takes exactly one server address (host:port)");
-    };
-    let mut stdout = std::io::stdout();
-    match profile(addr, &opts, &mut stdout) {
-        Ok(state) => {
-            if state.never_connected() {
-                eprintln!("flightctl: could not reach {addr}");
-                EXIT_FAIL
-            } else {
-                EXIT_OK
-            }
-        }
-        Err(e) => {
-            eprintln!("flightctl: profile {addr}: {e}");
             EXIT_USAGE
         }
     }

@@ -42,6 +42,7 @@ use std::collections::HashMap;
 use flight_telemetry::json::{JsonObject, JsonValue};
 use flight_telemetry::{parse_request_track, parse_worker, EventKind};
 
+use crate::profile::{tallies, LIFETIME};
 use crate::trace::{Trace, TraceEvent};
 
 /// The single process id every exported event lands under.
@@ -286,8 +287,8 @@ pub fn export_chrome(trace: &Trace) -> (JsonValue, ExportStats) {
 pub fn export_folded(profile: &JsonValue) -> Result<String, String> {
     // Accept either the bare snapshot or the framed server reply.
     let snapshot = profile.get("profile").unwrap_or(profile);
-    let stages = snapshot
-        .get("stages")
+    let stages = tallies(snapshot, LIFETIME)
+        .and_then(|life| life.get("stages"))
         .and_then(JsonValue::as_array)
         .ok_or_else(|| {
             "no `stages` array — expected a profile snapshot (flightq profile output)".to_string()

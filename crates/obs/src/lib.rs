@@ -20,17 +20,16 @@
 //!   terminal dashboard with sparkline trends; degrades to a plain
 //!   one-shot report off a TTY ([`watch`]).
 //! * `flightctl top <addr>` — live serving dashboard over a running
-//!   flight-serve server's `stats`/`exemplars` verbs, with SLO
-//!   burn-rate health rules that gate the exit code ([`top`]).
-//! * `flightctl profile <addr>` — live per-layer profile of the same
-//!   server via its `profile` verb: every compiled stage's share of
-//!   forward wall time, p50/p99, ops/sec and the resolved kernel
-//!   dispatch path, hottest first ([`profile`]); `flightctl export
-//!   --format folded` turns a saved snapshot into flamegraph folded
-//!   stacks ([`export::export_folded`]).
+//!   flight-serve server's `stats`/`exemplars`/`profile` verbs: windowed
+//!   rates and latency, the per-layer stage table (every compiled
+//!   stage's share of forward wall time, p50/p99, ops/sec and the
+//!   resolved kernel dispatch path, hottest first), and SLO burn-rate
+//!   health rules that gate the exit code ([`top`]). `flightctl export
+//!   --format folded` turns a saved profile snapshot into flamegraph
+//!   folded stacks ([`export::export_folded`]). Both read the snapshot
+//!   through [`profile`].
 //!
-//! `watch`, `top`, and `profile` share the follow/once TTY loop in
-//! [`tick`].
+//! `watch` and `top` share the follow/once TTY loop in [`tick`].
 //!
 //! `summarize` and `health` also speak `--json` for CI gates.
 //!
@@ -53,10 +52,9 @@ pub mod watch;
 pub use cli::{parse_cli, ParsedArgs, EXIT_FAIL, EXIT_OK, EXIT_USAGE};
 pub use export::{export_chrome, export_folded, ExportStats};
 pub use health::{health, HealthReport};
-pub use profile::{profile, ProfileOptions, ProfileState};
 pub use summarize::{summarize, summarize_json};
 pub use tick::{run_ticks, sparkline, Series, TickOptions, TickStep};
 pub use top::{top, TopOptions, TopState};
 pub use trace::{parse_trace, read_trace, Trace, TraceEvent};
 pub use tree::{SpanStats, SpanSummary};
-pub use watch::{watch, TailReader, WatchOptions, WatchState};
+pub use watch::{watch, TailReader, WatchState};

@@ -1,120 +1,36 @@
-//! Live per-layer profile dashboard: `flightctl profile <addr>`.
+//! Reading a server's per-layer profile snapshot.
 //!
-//! Polls a running flight-serve server's `profile` verb — the
-//! [`StageProf`](flight_telemetry::StageProf) snapshot the server
-//! builds from 1-in-N sampled forwards — and renders it as a top-layers
-//! table: every compiled stage with its share of forward wall time,
-//! p50/p99 stage latency, ops/sec, and sample count, sorted hottest
-//! first. The header names the resolved kernel dispatch path (avx2 /
-//! portable / scalar) so a deploy to the wrong microarchitecture is
-//! visible at a glance.
-//!
-//! `--window` picks which tallies the table reads: a rolling window
-//! (`1s`, `10s`, `60s`) or `life` for since-start totals. Follow and
-//! once modes come from the shared tick loop ([`run_ticks`]) — this is
-//! `top` pointed at the layer axis instead of the request axis.
-//!
-//! For flamegraphs, capture a snapshot (`flightq profile > prof.json`)
-//! and feed it to `flightctl export --format folded`.
-
-use std::io::Write;
+//! The server's `profile` verb returns the
+//! [`StageProf`](flight_telemetry::StageProf) snapshot it builds from
+//! 1-in-N sampled forwards: lifetime tallies inlined at the root, and
+//! rolling `1s`/`10s`/`60s` tallies under `windows`. [`tallies`] picks
+//! one block by label; [`stage_table`] renders a window as the
+//! per-layer table `flightctl top` shows — every sampled stage with its
+//! share of forward wall time, p50/p99 stage latency, ops/sec and
+//! sample count, hottest first, under a line naming the kernel dispatch
+//! paths that ran (avx2 / portable / scalar). `flightctl export
+//! --format folded` reads the [`LIFETIME`] block of a saved snapshot
+//! (`flightq profile > prof.json`).
 
 use flight_telemetry::json::JsonValue;
 
-use crate::tick::{run_ticks, TickOptions, TickStep};
-use crate::top::{fmt_ms, num, round_trip};
+use crate::top::{fmt_ms, num};
 
-/// Follow mode gives up after this many consecutive failed polls.
-const MAX_CONSECUTIVE_FAILURES: u32 = 5;
+/// Label of the lifetime tallies, which the snapshot inlines at its root.
+pub const LIFETIME: &str = "life";
 
-/// The tallies a profile snapshot carries, by label. `life` is the
-/// inline lifetime block; the rest live under `windows`.
-pub const PROFILE_WINDOW_LABELS: [&str; 4] = ["life", "1s", "10s", "60s"];
-
-/// What `profile` watches.
-#[derive(Debug, Clone)]
-pub struct ProfileOptions {
-    /// The shared follow/once + interval + idle-exit knobs.
-    pub tick: TickOptions,
-    /// Which tallies the table reads — one of
-    /// [`PROFILE_WINDOW_LABELS`].
-    pub window: String,
-}
-
-impl Default for ProfileOptions {
-    fn default() -> Self {
-        ProfileOptions {
-            tick: TickOptions::default(),
-            window: "10s".to_string(),
-        }
-    }
-}
-
-/// The last profile snapshot plus poll bookkeeping.
-#[derive(Debug)]
-pub struct ProfileState {
-    /// Successful polls so far.
-    pub polls: u64,
-    /// Consecutive failed polls (resets on success).
-    pub consecutive_failures: u32,
-    /// Last poll's error, if it failed.
-    pub last_error: Option<String>,
-    /// Serving model version from the last successful poll.
-    pub version: u64,
-    /// The last `profile` payload (the snapshot object itself).
-    pub profile: JsonValue,
-}
-
-impl Default for ProfileState {
-    fn default() -> Self {
-        ProfileState {
-            polls: 0,
-            consecutive_failures: 0,
-            last_error: None,
-            version: 0,
-            profile: JsonValue::Null,
-        }
-    }
-}
-
-impl ProfileState {
-    /// Folds one poll of the server's `profile` verb into the state.
-    /// On failure the old snapshot sticks around (stale but labelled)
-    /// and the failure streak grows.
-    pub fn observe_poll(&mut self, polled: Result<JsonValue, String>) {
-        match polled {
-            Ok(reply) => {
-                self.polls += 1;
-                self.consecutive_failures = 0;
-                self.last_error = None;
-                self.version = num(reply.get("version")) as u64;
-                self.profile = reply.get("profile").cloned().unwrap_or(JsonValue::Null);
-            }
-            Err(e) => {
-                self.consecutive_failures += 1;
-                self.last_error = Some(e);
-            }
-        }
-    }
-
-    /// True when the dashboard never managed a single successful poll.
-    pub fn never_connected(&self) -> bool {
-        self.polls == 0
-    }
-}
-
-/// The tallies block the chosen window selects: the snapshot root for
-/// `life` (lifetime fields are inlined there), else
-/// `windows.<label>`.
-fn tallies<'a>(profile: &'a JsonValue, window: &str) -> Option<&'a JsonValue> {
-    if window == "life" {
+/// The tallies block `window` selects: the snapshot root for
+/// [`LIFETIME`], else `windows.<label>`.
+pub fn tallies<'a>(profile: &'a JsonValue, window: &str) -> Option<&'a JsonValue> {
+    if window == LIFETIME {
         return Some(profile);
     }
     profile.get("windows").and_then(|w| w.get(window))
 }
 
-/// Formats the `paths` object (dispatch path → profiled-forward count)
-/// as e.g. `avx2 (48)` — dominant first, any minority paths after.
+/// Formats a tallies block's `paths` object (dispatch path →
+/// profiled-forward count) as e.g. `avx2 (48)`: dominant first, any
+/// minority paths after.
 fn paths_line(tallies: &JsonValue) -> String {
     let Some(JsonValue::Object(pairs)) = tallies.get("paths") else {
         return "none".to_string();
@@ -134,42 +50,27 @@ fn paths_line(tallies: &JsonValue) -> String {
         .join(", ")
 }
 
-/// Renders the dashboard body (no cursor control — the tick loop adds
-/// that in follow mode).
-pub fn render(addr: &str, state: &ProfileState, opts: &ProfileOptions) -> String {
-    let mut out = String::new();
-    let every = num(state.profile.get("sample_every")) as u64;
-    out.push_str(&format!(
-        "profile: {addr}  model v{}  sampling 1/{every}  window {}  polls {}\n",
-        state.version, opts.window, state.polls
-    ));
-    if let Some(e) = &state.last_error {
-        out.push_str(&format!(
-            "poll failed ({} in a row): {e}\n",
-            state.consecutive_failures
-        ));
-        if state.never_connected() {
-            return out;
-        }
-        out.push_str("showing last good snapshot:\n");
+/// The per-layer table for `window`: one line of sampling, forward and
+/// dispatch-path counts, then one row per sampled stage, hottest first.
+/// Empty when the server sent no profile.
+pub fn stage_table(profile: &JsonValue, window: &str) -> String {
+    if matches!(profile, JsonValue::Null) {
+        return String::new();
     }
+    let every = num(profile.get("sample_every")) as u64;
     if every == 0 {
-        out.push_str("profiling disabled on this server (--profile-every 0)\n");
-        return out;
+        return "profiling disabled on this server (--profile-every 0)\n".to_string();
     }
-
-    let Some(tallies) = tallies(&state.profile, &opts.window) else {
-        out.push_str(&format!("no `{}` tallies in the snapshot\n", opts.window));
-        return out;
+    let Some(tallies) = tallies(profile, window) else {
+        return format!("no `{window}` tallies in the profile snapshot\n");
     };
     let forwards = num(tallies.get("forwards")) as u64;
-    out.push_str(&format!(
-        "{} profiled forwards ({} images, {} truncated)  dispatch: {}\n",
-        forwards,
+    let mut out = format!(
+        "layers over {window}: {forwards} profiled forwards (sampling 1/{every}, {} images, {} truncated)  dispatch: {}\n",
         num(tallies.get("images")) as u64,
         num(tallies.get("truncated")) as u64,
         paths_line(tallies),
-    ));
+    );
     if forwards == 0 {
         out.push_str("no sampled forwards in this window yet\n");
         return out;
@@ -212,45 +113,18 @@ pub fn render(addr: &str, state: &ProfileState, opts: &ProfileOptions) -> String
     out
 }
 
-/// Polls `addr` per `opts`, writing profile frames to `out`, and
-/// returns the final state — `flightctl` exits nonzero when the server
-/// was never reachable.
-///
-/// In follow mode the loop stops on idle-exit or after
-/// [`MAX_CONSECUTIVE_FAILURES`] straight failed polls.
-///
-/// # Errors
-///
-/// Propagates I/O errors writing frames. Server unreachability is not
-/// an `Err` — it is rendered, counted, and reflected in the returned
-/// state.
-pub fn profile(
-    addr: &str,
-    opts: &ProfileOptions,
-    out: &mut impl Write,
-) -> std::io::Result<ProfileState> {
-    let mut state = ProfileState::default();
-    run_ticks(&opts.tick, out, || {
-        let polled = round_trip(addr, "profile");
-        let progressed = polled.is_ok();
-        state.observe_poll(polled);
-        Ok(TickStep {
-            body: render(addr, &state, opts),
-            progressed,
-            stop: state.consecutive_failures >= MAX_CONSECUTIVE_FAILURES,
-        })
-    })?;
-    Ok(state)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::export::export_folded;
+    use crate::top::tests::{exemplars_reply, stats_reply};
+    use crate::top::{render, TopOptions, TopState};
     use flight_telemetry::json::JsonObject;
 
-    /// A plausible `profile` reply: two stages lifetime, one hot in
-    /// the 10s window, dispatch split avx2-dominant.
-    fn profile_reply() -> JsonValue {
+    /// A plausible `profile` reply: two stages, conv hottest over the
+    /// lifetime and 60s, linear hottest over 10s, nothing in 1s, and
+    /// the dispatch split avx2-dominant.
+    pub(crate) fn profile_reply() -> JsonValue {
         let stage = |index: u64, kind: &str, share: f64, samples: u64| {
             JsonObject::new()
                 .field("index", index)
@@ -290,7 +164,7 @@ mod tests {
                 )
                 .build()
         };
-        let JsonValue::Object(lifetime) = tallies(24, 0.8) else {
+        let JsonValue::Object(lifetime) = tallies(30, 0.8) else {
             unreachable!()
         };
         let mut root = vec![
@@ -302,94 +176,137 @@ mod tests {
             "windows".to_string(),
             JsonObject::new()
                 .field("1s", tallies(0, 0.5))
-                .field("10s", tallies(6, 0.6))
+                .field("10s", tallies(6, 0.3))
                 .field("60s", tallies(24, 0.8))
                 .build(),
         ));
         JsonObject::new()
             .field("ok", true)
-            .field("version", 2u64)
+            .field("version", 3u64)
             .field("profile", JsonValue::Object(root))
             .build()
     }
 
+    /// Folds one `top` poll carrying `profile` and renders the
+    /// dashboard under `window`.
+    fn render_profile(profile: JsonValue, window: &str) -> String {
+        let opts = TopOptions {
+            window: window.to_string(),
+            ..TopOptions::default()
+        };
+        let mut state = TopState::default();
+        state.observe_poll(
+            Ok((
+                stats_reply(100.0, 4.0, 0.0),
+                exemplars_reply(),
+                Some(profile),
+            )),
+            &opts,
+        );
+        assert_eq!(state.polls, 1);
+        assert_eq!(state.version, 3);
+        render("x", &state, &opts)
+    }
+
     #[test]
     fn polls_fold_and_render_the_top_layers_table() {
-        let opts = ProfileOptions::default();
-        let mut state = ProfileState::default();
-        state.observe_poll(Ok(profile_reply()));
-        assert_eq!(state.polls, 1);
-        assert_eq!(state.version, 2);
-
-        let text = render("127.0.0.1:9", &state, &opts);
-        assert!(text.contains("model v2"), "{text}");
-        assert!(text.contains("sampling 1/16"), "{text}");
-        assert!(text.contains("6 profiled forwards"), "10s window: {text}");
-        assert!(text.contains("avx2 (5), portable (1)"), "{text}");
-        assert!(text.contains("stage.0.conv"), "{text}");
-        assert!(text.contains("stage.1.linear"), "{text}");
-        let conv = text.find("stage.0.conv").unwrap();
-        let linear = text.find("stage.1.linear").unwrap();
-        assert!(conv < linear, "hottest stage sorts first: {text}");
+        // 10s: linear holds 70% of the window's stage time.
+        let text = render_profile(profile_reply(), "10s");
+        assert!(
+            text.contains("layers over 10s: 6 profiled forwards (sampling 1/16, 18 images"),
+            "{text}"
+        );
+        assert!(text.contains("dispatch: avx2 (5), portable (1)"), "{text}");
+        let conv = text.find("  stage.0.conv ").expect("conv row");
+        let linear = text.find("  stage.1.linear ").expect("linear row");
+        assert!(linear < conv, "hottest stage sorts first: {text}");
+        assert!(text.contains(" 70.0%"), "{text}");
         assert!(!text.contains('\x1b'), "plain render has no ANSI escapes");
+
+        // 60s: the same snapshot's other window, where conv is hottest.
+        let text = render_profile(profile_reply(), "60s");
+        assert!(
+            text.contains("layers over 60s: 24 profiled forwards"),
+            "{text}"
+        );
+        assert!(text.contains("dispatch: avx2 (23), portable (1)"), "{text}");
+        let conv = text.find("  stage.0.conv ").expect("conv row");
+        let linear = text.find("  stage.1.linear ").expect("linear row");
+        assert!(conv < linear, "hottest stage sorts first: {text}");
     }
 
     #[test]
     fn life_window_reads_the_inline_lifetime_tallies() {
-        let opts = ProfileOptions {
-            window: "life".to_string(),
-            ..ProfileOptions::default()
-        };
-        let mut state = ProfileState::default();
-        state.observe_poll(Ok(profile_reply()));
-        let text = render("x", &state, &opts);
-        assert!(text.contains("24 profiled forwards"), "{text}");
-        assert!(text.contains("(72 images"), "{text}");
+        let reply = profile_reply();
+        let snapshot = reply.get("profile").unwrap();
+        let life = tallies(snapshot, LIFETIME).unwrap();
+        assert_eq!(num(life.get("forwards")), 30.0);
+        let text = stage_table(snapshot, LIFETIME);
+        assert!(
+            text.contains("layers over life: 30 profiled forwards (sampling 1/16, 90 images"),
+            "{text}"
+        );
+        // The folded export weighs each stage by its lifetime wall time.
+        assert_eq!(
+            export_folded(&reply).unwrap(),
+            "serve;forward;stage.0.conv 3200\nserve;forward;stage.1.linear 800\n"
+        );
     }
 
     #[test]
     fn empty_window_says_so_instead_of_a_zero_table() {
-        let opts = ProfileOptions {
-            window: "1s".to_string(),
-            ..ProfileOptions::default()
-        };
-        let mut state = ProfileState::default();
-        state.observe_poll(Ok(profile_reply()));
-        let text = render("x", &state, &opts);
-        assert!(text.contains("no sampled forwards"), "{text}");
+        let text = render_profile(profile_reply(), "1s");
+        assert!(
+            text.contains("layers over 1s: 0 profiled forwards"),
+            "{text}"
+        );
+        assert!(
+            text.contains("no sampled forwards in this window yet"),
+            "{text}"
+        );
         assert!(!text.contains("stage.0"), "{text}");
     }
 
     #[test]
     fn failed_polls_keep_the_last_snapshot_and_count_the_streak() {
-        let opts = ProfileOptions::default();
-        let mut state = ProfileState::default();
-        state.observe_poll(Ok(profile_reply()));
-        state.observe_poll(Err("connect refused".to_string()));
-        state.observe_poll(Err("connect refused".to_string()));
+        let opts = TopOptions::default();
+        let mut state = TopState::default();
+        state.observe_poll(
+            Ok((
+                stats_reply(100.0, 4.0, 0.0),
+                exemplars_reply(),
+                Some(profile_reply()),
+            )),
+            &opts,
+        );
+        state.observe_poll(Err("connect refused".to_string()), &opts);
+        state.observe_poll(Err("connect refused".to_string()), &opts);
         assert_eq!(state.polls, 1);
         assert_eq!(state.consecutive_failures, 2);
         let text = render("x", &state, &opts);
         assert!(text.contains("poll failed (2 in a row)"), "{text}");
         assert!(
-            text.contains("stage.0.conv"),
+            text.contains("layers over 10s: 6 profiled forwards"),
+            "{text}"
+        );
+        assert!(
+            text.contains("  stage.0.conv "),
             "stale table still shown: {text}"
         );
     }
 
     #[test]
     fn disabled_profiler_renders_a_notice() {
-        let opts = ProfileOptions::default();
-        let mut state = ProfileState::default();
-        state.observe_poll(Ok(JsonObject::new()
+        let disabled = JsonObject::new()
             .field("ok", true)
-            .field("version", 1u64)
+            .field("version", 3u64)
             .field(
                 "profile",
                 JsonObject::new().field("sample_every", 0u64).build(),
             )
-            .build()));
-        let text = render("x", &state, &opts);
+            .build();
+        let text = render_profile(disabled, "10s");
         assert!(text.contains("profiling disabled"), "{text}");
+        assert!(!text.contains("stage."), "{text}");
     }
 }

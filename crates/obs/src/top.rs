@@ -1,12 +1,26 @@
 //! Live serving dashboard: `flightctl top <addr>`.
 //!
 //! Polls a running flight-serve server over its own wire protocol (the
-//! `stats` and `exemplars` verbs) and renders the signals an operator
-//! watches during a deploy: windowed QPS and p99 with sparkline trends,
-//! reject/error rates, queue depth, batch-size behaviour, the serving
-//! model version, and the slowest-request exemplar table. The follow
-//! and once modes come from the shared tick loop ([`run_ticks`]) —
-//! `top` is `watch` pointed at a server instead of a trace file.
+//! `stats`, `exemplars` and `profile` verbs, over one connection per
+//! poll) and renders the signals an operator watches during a deploy:
+//! windowed QPS and p99 with sparkline trends, reject/error rates,
+//! queue depth, batch-size behaviour, the serving model version, the
+//! per-layer stage table, and the slowest-request exemplar table. The
+//! follow and once modes come from the shared tick loop
+//! ([`run_ticks`]) — `top` is `watch` pointed at a server instead of a
+//! trace file.
+//!
+//! # Per-layer stage table
+//!
+//! The server profiles 1-in-N sampled forwards per compiled stage
+//! ([`StageProf`](flight_telemetry::StageProf)). `top` lists every
+//! sampled stage of the chosen window with its share of forward wall
+//! time, p50/p99 stage latency, ops/sec and sample count, hottest
+//! first, under a line naming the kernel dispatch paths that ran
+//! (avx2 / portable / scalar), so a deploy to the wrong
+//! microarchitecture is visible at a glance. For flamegraphs, capture a
+//! snapshot (`flightq profile > prof.json`) and feed it to `flightctl
+//! export --format folded`.
 //!
 //! # SLO health rules
 //!
@@ -23,25 +37,22 @@
 //! when its `breaches` is non-empty (or the server was unreachable), so
 //! `flightctl top --once --slo-p99-ms 50 --error-budget 0.01 <addr>`
 //! is a shell-scriptable health check.
-//!
-//! The protocol client here is deliberately minimal (one frame write,
-//! one frame read): flight-serve depends on this crate for its CLI
-//! plumbing, so `top` cannot use `flight_serve::ServeClient` without a
-//! dependency cycle. Both sides frame through the shared codec in
-//! [`flight_telemetry::frame`].
 
 use std::io::Write;
-use std::net::TcpStream;
 use std::time::Duration;
 
-use flight_telemetry::json::{JsonObject, JsonValue};
-use flight_telemetry::{read_frame, write_frame};
+use flight_telemetry::frame::{ServeError, WireClient};
+use flight_telemetry::json::JsonValue;
 
+use crate::profile::stage_table;
 use crate::tick::{run_ticks, sparkline, Series, TickOptions, TickStep};
 
 /// Follow mode gives up after this many consecutive failed polls (the
 /// server shut down, not a transient hiccup).
 const MAX_CONSECUTIVE_FAILURES: u32 = 5;
+
+/// How long one poll waits for each reply.
+const POLL_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How many exemplar rows the dashboard lists.
 const MAX_EXEMPLAR_ROWS: usize = 8;
@@ -121,30 +132,16 @@ impl Default for TopState {
     }
 }
 
-/// A minimal protocol round-trip: connect, send `{"op": <op>}`, read
-/// one reply frame. Reconnects per call — at dashboard poll rates
-/// (default 1 s) that costs nothing and survives server restarts.
-/// Shared with the `profile` dashboard ([`crate::profile`]).
-pub(crate) fn round_trip(addr: &str, op: &str) -> Result<JsonValue, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .map_err(|e| format!("socket: {e}"))?;
-    let payload = JsonObject::new().field("op", op).build().render();
-    write_frame(&mut stream, payload.as_bytes()).map_err(|e| format!("send: {e}"))?;
-    let reply = read_frame(&mut stream)
-        .map_err(|e| format!("recv: {e}"))?
-        .ok_or_else(|| "recv: connection closed".to_string())?;
-    let text = std::str::from_utf8(&reply).map_err(|_| "reply is not UTF-8".to_string())?;
-    let root = JsonValue::parse(text).map_err(|e| format!("reply is not JSON: {e}"))?;
-    if root.get("ok") != Some(&JsonValue::Bool(true)) {
-        return Err(root
-            .get("error")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("server said not-ok")
-            .to_string());
-    }
-    Ok(root)
+/// One poll: `stats`, `exemplars` and `profile` over one fresh
+/// connection. Reconnecting per poll costs nothing at dashboard rates
+/// (default 1 s) and survives server restarts. The `profile` reply is
+/// optional: a server without the verb still gets a full dashboard.
+fn poll(addr: &str) -> Result<(JsonValue, JsonValue, Option<JsonValue>), ServeError> {
+    let mut wire = WireClient::connect(addr)?;
+    wire.set_read_timeout(POLL_TIMEOUT)?;
+    let stats = wire.op("stats")?;
+    let exemplars = wire.op("exemplars")?;
+    Ok((stats, exemplars, wire.op("profile").ok()))
 }
 
 pub(crate) fn num(v: Option<&JsonValue>) -> f64 {
@@ -156,7 +153,7 @@ impl TopState {
     /// readings stick around (stale but labelled) and the failure
     /// streak grows. The third element is the optional `profile` reply
     /// — `None` (server predates the verb, or the poll raced a restart)
-    /// keeps the dashboard running without the hot-stage line.
+    /// keeps the dashboard running without the stage table.
     pub fn observe_poll(
         &mut self,
         polled: Result<(JsonValue, JsonValue, Option<JsonValue>), String>,
@@ -244,34 +241,6 @@ impl TopState {
     }
 }
 
-/// One line naming the layer the forward pass spends most of its time
-/// in, from the `profile` verb's lifetime stages. `None` when the
-/// server has no profile (older server, sampling disabled, or no
-/// sampled forward yet).
-fn hot_stage_line(profile: &JsonValue) -> Option<String> {
-    let stages = profile.get("stages").and_then(JsonValue::as_array)?;
-    let hottest = stages
-        .iter()
-        .filter(|s| num(s.get("samples")) > 0.0)
-        .max_by(|a, b| {
-            num(a.get("time_share"))
-                .partial_cmp(&num(b.get("time_share")))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })?;
-    let kind = hottest
-        .get("kind")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("stage");
-    let every = num(profile.get("sample_every")) as u64;
-    Some(format!(
-        "hot stage: stage.{}.{kind}  {:.1}% of forward  p99 {} ms  (sampled 1/{every}, {} forwards)\n",
-        num(hottest.get("index")) as u64,
-        num(hottest.get("time_share")) * 100.0,
-        fmt_ms(num(hottest.get("wall_ms").and_then(|w| w.get("p99")))),
-        num(profile.get("forwards")) as u64,
-    ))
-}
-
 pub(crate) fn fmt_ms(v: f64) -> String {
     if v >= 100.0 {
         format!("{v:.0}")
@@ -350,9 +319,7 @@ pub fn render(addr: &str, state: &TopState, opts: &TopOptions) -> String {
         ));
     }
 
-    if let Some(line) = hot_stage_line(&state.profile) {
-        out.push_str(&line);
-    }
+    out.push_str(&stage_table(&state.profile, &opts.window));
 
     if let Some(rows) = state.exemplars.as_array() {
         if !rows.is_empty() {
@@ -407,12 +374,7 @@ pub fn render(addr: &str, state: &TopState, opts: &TopOptions) -> String {
 pub fn top(addr: &str, opts: &TopOptions, out: &mut impl Write) -> std::io::Result<TopState> {
     let mut state = TopState::default();
     run_ticks(&opts.tick, out, || {
-        let polled = round_trip(addr, "stats").and_then(|stats| {
-            round_trip(addr, "exemplars")
-                // The profile verb is optional: older servers (or ones
-                // with profiling disabled) still get a full dashboard.
-                .map(|ex| (stats, ex, round_trip(addr, "profile").ok()))
-        });
+        let polled = poll(addr).map_err(|e| e.to_string());
         let progressed = polled.is_ok();
         state.observe_poll(polled, opts);
         Ok(TickStep {
@@ -425,11 +387,13 @@ pub fn top(addr: &str, opts: &TopOptions, out: &mut impl Write) -> std::io::Resu
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::profile::tests::profile_reply;
+    use flight_telemetry::json::JsonObject;
 
     /// Builds a plausible `stats` reply for the poll-folding tests.
-    fn stats_reply(qps: f64, p99: f64, error_rate: f64) -> JsonValue {
+    pub(crate) fn stats_reply(qps: f64, p99: f64, error_rate: f64) -> JsonValue {
         let window = |q: f64| {
             JsonObject::new()
                 .field("qps", q)
@@ -476,43 +440,7 @@ mod tests {
             .build()
     }
 
-    /// Builds a plausible `profile` reply (two stages, conv hottest).
-    fn profile_reply() -> JsonValue {
-        let stage = |index: u64, kind: &str, share: f64| {
-            JsonObject::new()
-                .field("index", index)
-                .field("kind", kind)
-                .field("samples", 12u64)
-                .field("time_share", share)
-                .field("wall_total_us", share * 1000.0)
-                .field(
-                    "wall_ms",
-                    JsonObject::new()
-                        .field("p50", 0.4)
-                        .field("p99", 0.9)
-                        .build(),
-                )
-                .field("ops", 5000u64)
-                .field("ops_per_sec", 1e6)
-                .build()
-        };
-        JsonObject::new()
-            .field("ok", true)
-            .field(
-                "profile",
-                JsonObject::new()
-                    .field("sample_every", 16u64)
-                    .field("forwards", 12u64)
-                    .field(
-                        "stages",
-                        vec![stage(0, "conv", 0.7), stage(1, "linear", 0.3)],
-                    )
-                    .build(),
-            )
-            .build()
-    }
-
-    fn exemplars_reply() -> JsonValue {
+    pub(crate) fn exemplars_reply() -> JsonValue {
         let phases = JsonObject::new()
             .field("queue_us", 1000u64)
             .field("batch_form_us", 200u64)
@@ -569,11 +497,9 @@ mod tests {
         assert!(text.contains("trend qps"), "{text}");
         assert!(text.contains("slowest requests"), "{text}");
         assert!(text.contains("42"), "exemplar id listed: {text}");
-        assert!(
-            text.contains("hot stage: stage.0.conv"),
-            "profile poll surfaces the hottest layer: {text}"
-        );
-        assert!(text.contains("sampled 1/16"), "{text}");
+        assert!(text.contains("  stage.0.conv "), "stage table: {text}");
+        assert!(text.contains("  stage.1.linear "), "stage table: {text}");
+        assert!(text.contains("sampling 1/16"), "{text}");
         assert!(!text.contains('\x1b'), "plain render has no ANSI escapes");
     }
 
@@ -609,17 +535,26 @@ mod tests {
         let opts = TopOptions::default();
         let mut state = TopState::default();
         state.observe_poll(
-            Ok((stats_reply(100.0, 4.0, 0.0), exemplars_reply(), None)),
+            Ok((
+                stats_reply(100.0, 4.0, 0.0),
+                exemplars_reply(),
+                Some(profile_reply()),
+            )),
             &opts,
         );
         state.observe_poll(Err("connect refused".to_string()), &opts);
         state.observe_poll(Err("connect refused".to_string()), &opts);
+        assert_eq!(state.polls, 1);
         assert_eq!(state.consecutive_failures, 2);
         assert!(!state.never_connected());
         let text = render("x", &state, &opts);
         assert!(text.contains("poll failed (2 in a row)"), "{text}");
         assert!(text.contains("last good readings"), "{text}");
         assert!(text.contains("qps"), "stale readings still shown: {text}");
+        assert!(
+            text.contains("  stage.0.conv "),
+            "stale stage table still shown: {text}"
+        );
     }
 
     #[test]
@@ -639,6 +574,8 @@ mod tests {
         assert_eq!(state.consecutive_failures, MAX_CONSECUTIVE_FAILURES);
         let text = String::from_utf8_lossy(&out);
         assert!(text.contains("poll failed"), "{text}");
+        assert!(!text.contains("lifetime:"), "no readings to show: {text}");
+        assert!(!text.contains("stage."), "no stage table to show: {text}");
     }
 
     #[test]

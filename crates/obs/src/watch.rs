@@ -28,13 +28,8 @@ use std::path::{Path, PathBuf};
 
 use flight_telemetry::EventKind;
 
-use crate::tick::{run_ticks, TickStep};
+use crate::tick::{run_ticks, sparkline, Series, TickOptions, TickStep};
 use crate::trace::{parse_event, TraceEvent};
-
-// The tick machinery (trend series, sparklines, the follow/once loop)
-// is shared with `flightctl top`; re-exported here because it grew up
-// in this module and callers still import it from `watch`.
-pub use crate::tick::{sparkline, Series, TickOptions as WatchOptions, ANSI_REDRAW};
 
 /// How many per-layer training signals the dashboard lists before
 /// eliding the rest.
@@ -295,11 +290,7 @@ pub fn render(path: &Path, state: &WatchState) -> String {
 /// Propagates I/O errors from reading the trace or writing the report.
 /// A missing file is an error only in once mode — in follow mode the
 /// watcher waits for the file to appear.
-pub fn watch(
-    path: &Path,
-    opts: &WatchOptions,
-    out: &mut impl Write,
-) -> std::io::Result<WatchState> {
+pub fn watch(path: &Path, opts: &TickOptions, out: &mut impl Write) -> std::io::Result<WatchState> {
     if !opts.follow && !path.exists() {
         return Err(std::io::Error::new(
             std::io::ErrorKind::NotFound,
@@ -332,6 +323,7 @@ pub fn watch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tick::ANSI_REDRAW;
 
     fn temp_path(tag: &str) -> PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -440,7 +432,7 @@ mod tests {
         );
         std::fs::write(&path, body).unwrap();
         let mut out = Vec::new();
-        let state = watch(&path, &WatchOptions::default(), &mut out).unwrap();
+        let state = watch(&path, &TickOptions::default(), &mut out).unwrap();
         assert_eq!(state.events, 1);
         assert_eq!(state.malformed, 1, "the torn tail is counted");
         let text = String::from_utf8(out).unwrap();
@@ -455,7 +447,7 @@ mod tests {
     fn once_mode_errors_on_a_missing_trace() {
         let err = watch(
             Path::new("/no/such/flight-watch-trace.jsonl"),
-            &WatchOptions::default(),
+            &TickOptions::default(),
             &mut Vec::new(),
         )
         .unwrap_err();
@@ -466,7 +458,7 @@ mod tests {
     fn follow_mode_idle_exit_terminates() {
         let path = temp_path("follow");
         std::fs::write(&path, gauge(0, "train.epoch.loss", 0.9) + "\n").unwrap();
-        let opts = WatchOptions {
+        let opts = TickOptions {
             follow: true,
             interval_ms: 10,
             idle_exit_ms: Some(20),

@@ -265,11 +265,17 @@ fn usage_and_io_errors_exit_two() {
             .code(),
         Some(2)
     );
-    // The retired run comparator and capacity planner are unknown
-    // subcommands now.
+    // The retired run comparator, capacity planner and profile
+    // dashboard (its table lives in `top`) are unknown subcommands now.
     assert_eq!(flightctl(&["diff", "a", "b"]).status.code(), Some(2));
     assert_eq!(
         flightctl(&["capacity", "m.json", "--qps", "10"])
+            .status
+            .code(),
+        Some(2)
+    );
+    assert_eq!(
+        flightctl(&["profile", "127.0.0.1:1", "--once"])
             .status
             .code(),
         Some(2)

@@ -255,14 +255,20 @@ fn run() -> i32 {
             }
         }
     };
+    // The server settings are loadgen's to report only when it started
+    // the server; an external one (`--addr`) runs with its own flags.
+    let server_settings = if local.is_some() {
+        format!(
+            " (network {}, scheme {}, max_batch {}, max_wait {}us)",
+            knobs.spec.network, knobs.spec.scheme, knobs.max_batch, knobs.max_wait_us
+        )
+    } else {
+        String::new()
+    };
     println!(
-        "loadgen: {} clients x {:.1}s against {addr} (network {}, scheme {}, max_batch {}, max_wait {}us)",
+        "loadgen: {} clients x {:.1}s against {addr}{server_settings}",
         knobs.clients,
         knobs.duration.as_secs_f64(),
-        knobs.spec.network,
-        knobs.spec.scheme,
-        knobs.max_batch,
-        knobs.max_wait_us
     );
 
     let input_len = knobs.spec.input_len();

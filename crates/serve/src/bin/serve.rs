@@ -13,7 +13,7 @@
 //! the compute workers (prefixed per worker track), so a JSONL trace
 //! from a live server includes the kernel-side events.
 //! `--profile-every` tunes the per-layer profiler's 1-in-N request
-//! sampling (default 16; 0 disables; read it with `flightctl profile`).
+//! sampling (default 16; 0 disables; read it live with `flightctl top`).
 //! Exit codes: 0 clean shutdown, 1 startup failure, 2 usage error.
 
 use flight_obs::cli::{parse_cli, ParsedArgs, EXIT_FAIL, EXIT_USAGE};

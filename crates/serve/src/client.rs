@@ -1,40 +1,17 @@
 //! A small blocking client for the serve protocol. Used by the CLI
 //! (`flightq`), the load generator, and the integration tests; the wire
 //! format is public, so third-party clients are one frame-writer away.
+//!
+//! [`ServeClient`] holds only the typed verbs. Framing, the round trip
+//! and the reply-envelope check live in
+//! [`flight_telemetry::frame::WireClient`], which `flightctl top` uses
+//! too; [`ServeError`] is that module's error type.
 
-use std::net::TcpStream;
-
+pub use flight_telemetry::frame::ServeError;
+use flight_telemetry::frame::WireClient;
 use flight_telemetry::json::{JsonObject, JsonValue};
 
 use crate::model::ModelSpec;
-use crate::protocol::{read_frame, write_frame};
-
-/// A failed request: transport trouble or a server-side error.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeError {
-    /// Human-readable cause.
-    pub message: String,
-    /// True when the server said "try again" (backpressure rejection).
-    pub retry: bool,
-}
-
-impl std::fmt::Display for ServeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}{}",
-            self.message,
-            if self.retry { " (retryable)" } else { "" }
-        )
-    }
-}
-
-fn fatal(message: impl Into<String>) -> ServeError {
-    ServeError {
-        message: message.into(),
-        retry: false,
-    }
-}
 
 /// A successful inference.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,10 +33,11 @@ pub struct InferOk {
     pub compute_us: u64,
 }
 
-/// One protocol connection.
+/// One protocol connection: the typed verbs over the shared
+/// [`WireClient`]. It sets no read timeout.
 #[derive(Debug)]
 pub struct ServeClient {
-    stream: TcpStream,
+    wire: WireClient,
 }
 
 impl ServeClient {
@@ -69,40 +47,26 @@ impl ServeClient {
     ///
     /// Connection failures.
     pub fn connect(addr: &str) -> Result<ServeClient, ServeError> {
-        TcpStream::connect(addr)
-            .map(|stream| ServeClient { stream })
-            .map_err(|e| fatal(format!("connect {addr}: {e}")))
+        WireClient::connect(addr).map(|wire| ServeClient { wire })
     }
 
-    /// Sends one request object and returns the parsed reply.
+    /// Sends one request object and returns the parsed reply, whatever
+    /// its `ok` flag says.
     ///
     /// # Errors
     ///
     /// Transport failures, a closed connection, or unparseable replies.
     pub fn round_trip(&mut self, request: &JsonValue) -> Result<JsonValue, ServeError> {
-        write_frame(&mut self.stream, request.render().as_bytes())
-            .map_err(|e| fatal(format!("send: {e}")))?;
-        let payload = read_frame(&mut self.stream)
-            .map_err(|e| fatal(format!("recv: {e}")))?
-            .ok_or_else(|| fatal("server closed the connection"))?;
-        let text = std::str::from_utf8(&payload).map_err(|_| fatal("reply is not UTF-8"))?;
-        JsonValue::parse(text).map_err(|e| fatal(format!("reply is not JSON: {e}")))
+        self.wire.round_trip(request)
     }
 
-    /// Checks a reply's `ok` flag, converting failures into
-    /// [`ServeError`] (with `retry` taken from the reply).
-    fn expect_ok(reply: JsonValue) -> Result<JsonValue, ServeError> {
-        match reply.get("ok") {
-            Some(JsonValue::Bool(true)) => Ok(reply),
-            _ => Err(ServeError {
-                message: reply
-                    .get("error")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("malformed reply")
-                    .to_string(),
-                retry: matches!(reply.get("retry"), Some(JsonValue::Bool(true))),
-            }),
-        }
+    /// Sends `{"op": op}` and returns the reply's `key` field.
+    fn fetch(&mut self, op: &str, key: &str) -> Result<JsonValue, ServeError> {
+        self.wire
+            .op(op)?
+            .get(key)
+            .cloned()
+            .ok_or_else(|| ServeError::fatal(format!("{op} reply lacks `{key}`")))
     }
 
     /// Runs one image.
@@ -122,13 +86,13 @@ impl ServeClient {
                     .collect::<Vec<_>>(),
             )
             .build();
-        let reply = Self::expect_ok(self.round_trip(&request)?)?;
+        let reply = self.wire.call(&request)?;
         let uint = |key: &str| {
             reply
                 .get(key)
                 .and_then(JsonValue::as_f64)
                 .map(|v| v as u64)
-                .ok_or_else(|| fatal(format!("reply lacks `{key}`")))
+                .ok_or_else(|| ServeError::fatal(format!("reply lacks `{key}`")))
         };
         let timing = |key: &str| {
             reply
@@ -140,11 +104,11 @@ impl ServeClient {
         let logits = reply
             .get("logits")
             .and_then(JsonValue::as_array)
-            .ok_or_else(|| fatal("reply lacks `logits`"))?
+            .ok_or_else(|| ServeError::fatal("reply lacks `logits`"))?
             .iter()
             .map(|v| v.as_f64().map(|x| x as f32))
             .collect::<Option<Vec<f32>>>()
-            .ok_or_else(|| fatal("non-numeric logits"))?;
+            .ok_or_else(|| ServeError::fatal("non-numeric logits"))?;
         Ok(InferOk {
             request_id: reply
                 .get("request_id")
@@ -165,13 +129,10 @@ impl ServeClient {
     ///
     /// Transport failures.
     pub fn ping(&mut self) -> Result<u64, ServeError> {
-        let reply =
-            Self::expect_ok(self.round_trip(&JsonObject::new().field("op", "ping").build())?)?;
-        reply
-            .get("version")
-            .and_then(JsonValue::as_f64)
+        self.fetch("ping", "version")?
+            .as_f64()
             .map(|v| v as u64)
-            .ok_or_else(|| fatal("ping reply lacks `version`"))
+            .ok_or_else(|| ServeError::fatal("ping reply lacks `version`"))
     }
 
     /// Publishes a new model; returns its version.
@@ -185,12 +146,12 @@ impl ServeClient {
         };
         let mut request = vec![("op".to_string(), JsonValue::String("swap".into()))];
         request.extend(fields);
-        let reply = Self::expect_ok(self.round_trip(&JsonValue::Object(request))?)?;
-        reply
+        self.wire
+            .call(&JsonValue::Object(request))?
             .get("version")
             .and_then(JsonValue::as_f64)
             .map(|v| v as u64)
-            .ok_or_else(|| fatal("swap reply lacks `version`"))
+            .ok_or_else(|| ServeError::fatal("swap reply lacks `version`"))
     }
 
     /// Fetches the server's stats snapshot.
@@ -199,12 +160,7 @@ impl ServeClient {
     ///
     /// Transport failures.
     pub fn stats(&mut self) -> Result<JsonValue, ServeError> {
-        let reply =
-            Self::expect_ok(self.round_trip(&JsonObject::new().field("op", "stats").build())?)?;
-        reply
-            .get("stats")
-            .cloned()
-            .ok_or_else(|| fatal("stats reply lacks `stats`"))
+        self.fetch("stats", "stats")
     }
 
     /// Fetches the server's slowest-request exemplar timelines (the
@@ -214,12 +170,7 @@ impl ServeClient {
     ///
     /// Transport failures.
     pub fn exemplars(&mut self) -> Result<JsonValue, ServeError> {
-        let reply =
-            Self::expect_ok(self.round_trip(&JsonObject::new().field("op", "exemplars").build())?)?;
-        reply
-            .get("exemplars")
-            .cloned()
-            .ok_or_else(|| fatal("exemplars reply lacks `exemplars`"))
+        self.fetch("exemplars", "exemplars")
     }
 
     /// Fetches the server's per-layer profile snapshot (the `profile`
@@ -229,12 +180,7 @@ impl ServeClient {
     ///
     /// Transport failures.
     pub fn profile(&mut self) -> Result<JsonValue, ServeError> {
-        let reply =
-            Self::expect_ok(self.round_trip(&JsonObject::new().field("op", "profile").build())?)?;
-        reply
-            .get("profile")
-            .cloned()
-            .ok_or_else(|| fatal("profile reply lacks `profile`"))
+        self.fetch("profile", "profile")
     }
 
     /// Asks the server to shut down.
@@ -243,7 +189,6 @@ impl ServeClient {
     ///
     /// Transport failures.
     pub fn shutdown(&mut self) -> Result<(), ServeError> {
-        Self::expect_ok(self.round_trip(&JsonObject::new().field("op", "shutdown").build())?)
-            .map(|_| ())
+        self.wire.op("shutdown").map(|_| ())
     }
 }

@@ -33,9 +33,9 @@
 //!   time, op totals, and the resolved kernel dispatch path, flushed
 //!   into a per-worker [`StageProf`](flight_telemetry::StageProf)
 //!   shard. The `profile` op returns per-layer p50/p99, time share, and
-//!   ops/sec (lifetime + rolling windows); `flightctl profile` renders
-//!   it live and `flightctl export --format folded` emits flamegraph
-//!   folded stacks.
+//!   ops/sec (lifetime + rolling windows); `flightctl top` renders
+//!   the chosen window's stage table live and `flightctl export
+//!   --format folded` emits flamegraph folded stacks.
 //!
 //! The server is built directly on the request-first engine API: one
 //! shared [`CompiledNet`](flight_kernels::CompiledNet) snapshot per

@@ -3,8 +3,8 @@
 //! Every message — request or response — is one frame: a 4-byte
 //! little-endian payload length followed by that many bytes of UTF-8
 //! JSON. The codec ([`write_frame`], [`read_frame`], [`MAX_FRAME`])
-//! lives in [`flight_telemetry::frame`], shared with `flightctl`'s
-//! dashboards, and is re-exported here.
+//! lives in [`flight_telemetry::frame`], shared with `flightctl top`,
+//! and is re-exported here.
 //!
 //! Requests are an object with an `op` discriminator:
 //!
@@ -19,7 +19,10 @@
 //! ```
 //!
 //! Responses always carry `"ok"`; failures add `"error"` with a
-//! human-readable message. `infer` responses carry the server-assigned
+//! human-readable message, and backpressure adds `"retry": true`. That
+//! envelope is written and read only in [`flight_telemetry::frame`]
+//! (`ok_response`, `error_response`, `overloaded_response`,
+//! `WireClient`). `infer` responses carry the server-assigned
 //! `request_id`, the logits, the serving model's version, the batch the
 //! request was coalesced into, and the per-phase timing breakdown
 //! (`queue` / `batch_form` / `compute` / `total`, microseconds — the
@@ -104,26 +107,6 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!("unknown op {other:?}")),
     }
-}
-
-/// Renders an error response.
-pub fn error_response(message: &str) -> String {
-    JsonValue::Object(vec![
-        ("ok".into(), JsonValue::Bool(false)),
-        ("error".into(), JsonValue::String(message.into())),
-    ])
-    .render()
-}
-
-/// Renders the overload rejection (bounded queue full). `retry: true`
-/// tells well-behaved clients this is backpressure, not a bug.
-pub fn overloaded_response() -> String {
-    JsonValue::Object(vec![
-        ("ok".into(), JsonValue::Bool(false)),
-        ("error".into(), JsonValue::String("overloaded".into())),
-        ("retry".into(), JsonValue::Bool(true)),
-    ])
-    .render()
 }
 
 #[cfg(test)]

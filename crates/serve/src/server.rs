@@ -40,6 +40,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use flight_kernels::ExecCtx;
+use flight_telemetry::frame::{error_response, ok_response, overloaded_response};
 use flight_telemetry::json::{JsonObject, JsonValue};
 use flight_telemetry::{
     trace_now_us, worker_prefix, StageProf, StageSample, Telemetry, DEFAULT_SAMPLE_EVERY,
@@ -49,8 +50,7 @@ use flight_tensor::Tensor;
 use crate::batcher::{collect_batch, BatchPolicy, PendingRequest};
 use crate::exemplar::{Exemplar, ExemplarRing, DEFAULT_EXEMPLARS};
 use crate::model::ModelSpec;
-use crate::protocol::{error_response, overloaded_response, parse_request, Request};
-use crate::protocol::{read_frame, write_frame};
+use crate::protocol::{parse_request, read_frame, write_frame, Request};
 use crate::stats::{PhaseSample, ServeStats};
 use crate::swap::EngineSlot;
 
@@ -318,35 +318,26 @@ fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<(
         let received = Instant::now();
         let reply = match parse_request(&payload) {
             Err(e) => error_response(&e),
-            Ok(Request::Ping) => JsonObject::new()
-                .field("ok", true)
-                .field("version", shared.slot.version())
-                .build()
-                .render(),
-            Ok(Request::Stats) => JsonObject::new()
-                .field("ok", true)
-                .field("version", shared.slot.version())
-                .field("stats", shared.stats_payload())
-                .build()
-                .render(),
-            Ok(Request::Exemplars) => JsonObject::new()
-                .field("ok", true)
-                .field("version", shared.slot.version())
-                .field("exemplars", shared.exemplars.json())
-                .build()
-                .render(),
-            Ok(Request::Profile) => JsonObject::new()
-                .field("ok", true)
-                .field("version", shared.slot.version())
-                .field("profile", shared.profiler.snapshot_json())
-                .build()
-                .render(),
+            Ok(Request::Ping) => {
+                ok_response(JsonObject::new().field("version", shared.slot.version()))
+            }
+            Ok(Request::Stats) => ok_response(
+                JsonObject::new()
+                    .field("version", shared.slot.version())
+                    .field("stats", shared.stats_payload()),
+            ),
+            Ok(Request::Exemplars) => ok_response(
+                JsonObject::new()
+                    .field("version", shared.slot.version())
+                    .field("exemplars", shared.exemplars.json()),
+            ),
+            Ok(Request::Profile) => ok_response(
+                JsonObject::new()
+                    .field("version", shared.slot.version())
+                    .field("profile", shared.profiler.snapshot_json()),
+            ),
             Ok(Request::Swap { spec }) => match shared.slot.swap_to(spec) {
-                Ok(version) => JsonObject::new()
-                    .field("ok", true)
-                    .field("version", version)
-                    .build()
-                    .render(),
+                Ok(version) => ok_response(JsonObject::new().field("version", version)),
                 Err(e) => error_response(&format!("swap failed: {e}")),
             },
             Ok(Request::Infer { image }) => {
@@ -362,14 +353,7 @@ fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<(
                 continue;
             }
             Ok(Request::Shutdown) => {
-                write_frame(
-                    &mut stream,
-                    JsonObject::new()
-                        .field("ok", true)
-                        .build()
-                        .render()
-                        .as_bytes(),
-                )?;
+                write_frame(&mut stream, ok_response(JsonObject::new()).as_bytes())?;
                 shared.stop.store(true, Ordering::Release);
                 return Ok(());
             }
@@ -441,29 +425,28 @@ fn infer(
             phases,
         }) => {
             let us = |d: Duration| d.as_micros() as u64;
-            let reply = JsonObject::new()
-                .field("ok", true)
-                .field("request_id", request_id)
-                .field("version", version)
-                .field("batch", batch)
-                .field(
-                    "logits",
-                    logits
-                        .iter()
-                        .map(|&l| JsonValue::from(l))
-                        .collect::<Vec<_>>(),
-                )
-                .field(
-                    "timing_us",
-                    JsonObject::new()
-                        .field("queue", us(phases.queue))
-                        .field("batch_form", us(phases.batch_form))
-                        .field("compute", us(phases.compute))
-                        .field("total", us(received.elapsed()))
-                        .build(),
-                )
-                .build()
-                .render();
+            let reply = ok_response(
+                JsonObject::new()
+                    .field("request_id", request_id)
+                    .field("version", version)
+                    .field("batch", batch)
+                    .field(
+                        "logits",
+                        logits
+                            .iter()
+                            .map(|&l| JsonValue::from(l))
+                            .collect::<Vec<_>>(),
+                    )
+                    .field(
+                        "timing_us",
+                        JsonObject::new()
+                            .field("queue", us(phases.queue))
+                            .field("batch_form", us(phases.batch_form))
+                            .field("compute", us(phases.compute))
+                            .field("total", us(received.elapsed()))
+                            .build(),
+                    ),
+            );
             (
                 reply,
                 Some(CompletedInfer {

@@ -40,8 +40,10 @@
 //!   serving hot path: a fixed allocation-free [`StageSample`] scratch
 //!   per worker, deterministic 1-in-N request selection ([`sampled`]),
 //!   sharded windowed aggregation, and folded-stack flamegraph export.
-//! * [`frame`] — the length-prefixed wire framing ([`write_frame`] /
-//!   [`read_frame`]) the serve protocol and its clients share.
+//! * [`frame`] — the serve protocol's wire format: the length-prefixed
+//!   framing ([`write_frame`] / [`read_frame`]), the `ok`/`error`/`retry`
+//!   reply envelope, and the one blocking client ([`frame::WireClient`])
+//!   that `flight_serve::ServeClient` and `flightctl top` share.
 //! * [`json`] — a minimal JSON value with render *and* parse, shared by
 //!   the JSONL sink, the bench run manifests, the serve protocol, and the
 //!   tests that validate them; parsing refuses nesting deeper than
