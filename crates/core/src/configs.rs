@@ -335,6 +335,12 @@ impl NetworkConfig {
                 net.push_plain(ActQuant::new(act_bits));
             }
         };
+        // The first conv sees the input image on the same grid as every
+        // later conv sees its activations (the integer engine quantizes
+        // the input there too).
+        if quant_act {
+            net.push_plain(ActQuant::new(act_bits));
+        }
 
         match self.structure {
             Structure::Vgg => {

@@ -18,7 +18,10 @@ use flight_nn::{Layer, Param};
 use flight_tensor::{kaiming_uniform, Tensor, TensorRng};
 
 use crate::grad::threshold_gradients;
-use crate::quant::{quantize_fixed_point, quantize_lightnn, FilterTrace, ThresholdQuantizer};
+use crate::quant::{
+    dequantize, quantize_fixed_point, quantize_lightnn, quantize_per_image, FilterTrace,
+    ThresholdQuantizer,
+};
 use crate::reg::{accumulate_filter_reg_grad, filter_reg_loss, RegStrength};
 use crate::scheme::QuantScheme;
 
@@ -133,9 +136,13 @@ impl WeightQuant {
 
 /// Fixed-point activation quantization with straight-through gradients.
 ///
-/// Quantizes symmetrically to `bits` with a dynamic per-tensor scale.
-/// The backward pass is the identity (STE), which is the standard choice
-/// the paper inherits from its references [6, 31].
+/// Quantizes symmetrically to `bits` with a dynamic scale **per image**
+/// (`dims[0]` is the batch at any rank) through
+/// [`quantize_per_image`](crate::quant::quantize_per_image), then
+/// dequantizes: the same function and the same values as the integer
+/// engine's requantization stage, so an image's output never depends on
+/// its batchmates. The backward pass is the identity (STE), which is the
+/// standard choice the paper inherits from its references [6, 31].
 ///
 /// # Example
 ///
@@ -145,9 +152,12 @@ impl WeightQuant {
 /// use flight_tensor::Tensor;
 ///
 /// let mut q = ActQuant::new(8);
-/// let y = q.forward(&Tensor::from_slice(&[1.0, 0.5, -0.26]), false);
-/// // 8-bit grid over [-1, 1]: step 1/127.
+/// let x = Tensor::from_vec(vec![1.0, 0.5, -0.26, 4.0, 0.5, -0.26], &[2, 3]);
+/// let y = q.forward(&x, false);
+/// // Image 0's 8-bit grid spans [-1, 1]: step 1/127.
 /// assert!((y.as_slice()[2] + 0.25984251).abs() < 1e-6);
+/// // Image 1 has its own grid over [-4, 4]: step 4/127.
+/// assert!((y.as_slice()[5] + 0.25196850).abs() < 1e-6);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ActQuant {
@@ -173,8 +183,9 @@ impl ActQuant {
 
 impl Layer for ActQuant {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let (q, _) = quantize_fixed_point(input, self.bits);
-        q
+        let mut values = Vec::new();
+        quantize_per_image(input, self.bits, &mut values, &mut Vec::new(), dequantize);
+        Tensor::from_vec(values, input.dims())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -744,7 +755,7 @@ mod tests {
     #[test]
     fn act_quant_is_idempotent() {
         let mut q = ActQuant::new(8);
-        let x = uniform(&mut rng(), &[64], -2.0, 2.0);
+        let x = uniform(&mut rng(), &[4, 16], -2.0, 2.0);
         let once = q.forward(&x, false);
         let twice = q.forward(&once, false);
         assert!(once.allclose(&twice, 1e-6));
@@ -753,11 +764,14 @@ mod tests {
     #[test]
     fn act_quant_error_bounded() {
         let mut q = ActQuant::new(8);
-        let x = uniform(&mut rng(), &[128], -1.0, 1.0);
+        let x = uniform(&mut rng(), &[4, 32], -1.0, 1.0);
         let y = q.forward(&x, false);
-        let step = x.abs_max() / 127.0;
-        for (&a, &b) in x.as_slice().iter().zip(y.as_slice()) {
-            assert!((a - b).abs() <= step / 2.0 + 1e-6);
+        // Half a step of each image's own grid.
+        for img in 0..4 {
+            let step = x.outer(img).iter().fold(0.0f32, |m, v| m.max(v.abs())) / 127.0;
+            for (&a, &b) in x.outer(img).iter().zip(y.outer(img)) {
+                assert!((a - b).abs() <= step / 2.0 + 1e-6);
+            }
         }
     }
 

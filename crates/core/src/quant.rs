@@ -187,9 +187,103 @@ pub fn quantize_lightnn(weights: &Tensor, k: usize) -> Tensor {
     })
 }
 
-/// Symmetric uniform fixed-point quantization with `bits` bits (one of
-/// them the sign): `w_q = clamp(round(w/s), ±(2^{bits−1}−1)) · s` with a
-/// per-tensor scale `s`.
+/// The largest code of the symmetric `bits`-bit grid (one bit is the
+/// sign): `2^{bits−1} − 1`.
+///
+/// # Panics
+///
+/// Panics if `bits < 2`.
+pub fn fixed_point_qmax(bits: u32) -> i32 {
+    assert!(bits >= 2, "fixed point needs at least 2 bits");
+    ((1u32 << (bits - 1)) - 1) as i32
+}
+
+/// The one symmetric fixed-point quantizer: every weight and activation
+/// quantization in the workspace calls it.
+///
+/// Quantizes `slab` onto the `bits`-bit grid of its own scale
+/// `s = max|x| / qmax` (`s = 1` when the slab is all zero): each value
+/// becomes the code `clamp(round(x/s), ±qmax)`, and `emit(code, s)`
+/// maps it to what is pushed onto `out` — the code itself for an
+/// integer kernel, [`dequantize`] for the float path. One scan, one
+/// write pass. Returns `s`.
+///
+/// # Panics
+///
+/// Panics if `bits < 2`.
+pub fn quantize_slab<T>(
+    slab: &[f32],
+    bits: u32,
+    out: &mut Vec<T>,
+    emit: impl Fn(i32, f32) -> T,
+) -> f32 {
+    let qmax = fixed_point_qmax(bits) as f32;
+    let max = slab.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+    let scale = if max == 0.0 { 1.0 } else { max / qmax };
+    out.extend(
+        slab.iter()
+            .map(|&v| emit((v / scale).round().clamp(-qmax, qmax) as i32, scale)),
+    );
+    scale
+}
+
+/// The value code `code` stands for on a grid of scale `scale`. Every
+/// dequantization, float or engine, goes through it, so a zero code is
+/// always `+0.0`.
+#[inline]
+pub fn dequantize(code: i32, scale: f32) -> f32 {
+    code as f32 * scale
+}
+
+/// Quantizes each image of a `[n, …]` batch (any rank; `dims[0]` is the
+/// batch) with [`quantize_slab`] on its own scale: image `b`'s scale
+/// lands in `scales[b]` and its emitted codes in
+/// `out[b·stride .. (b+1)·stride]`, `stride = x.len() / n`. Both
+/// buffers are cleared first, so a caller can reuse them across calls.
+///
+/// Per-image scales make each image's quantization independent of its
+/// batchmates: an image quantizes the same alone, inside any batch, and
+/// in any chunk of a split batch — in training, in float eval and in
+/// the integer engine alike.
+///
+/// # Panics
+///
+/// Panics if `bits < 2` or `x` has no dims.
+pub fn quantize_per_image<T>(
+    x: &Tensor,
+    bits: u32,
+    out: &mut Vec<T>,
+    scales: &mut Vec<f32>,
+    emit: impl Fn(i32, f32) -> T,
+) {
+    assert!(!x.dims().is_empty(), "batch tensor needs a leading dim");
+    let n = x.dims()[0];
+    let stride = x.len().checked_div(n).unwrap_or(0);
+    let data = x.as_slice();
+    out.clear();
+    out.reserve(data.len());
+    scales.clear();
+    scales.reserve(n);
+    for b in 0..n {
+        let slab = &data[b * stride..(b + 1) * stride];
+        scales.push(quantize_slab(slab, bits, out, &emit));
+    }
+}
+
+/// The float values of per-image `codes` under `scales` (the inverse
+/// layout of [`quantize_per_image`]).
+pub fn dequantize_per_image(codes: &[i32], scales: &[f32]) -> Vec<f32> {
+    let stride = codes.len().checked_div(scales.len()).unwrap_or(0);
+    let mut values = Vec::with_capacity(codes.len());
+    for (image, &s) in codes.chunks(stride.max(1)).zip(scales) {
+        values.extend(image.iter().map(|&c| dequantize(c, s)));
+    }
+    values
+}
+
+/// Symmetric uniform fixed-point quantization of a weight tensor with
+/// `bits` bits (one of them the sign) and one per-tensor scale `s`:
+/// `w_q = clamp(round(w/s), ±(2^{bits−1}−1)) · s` ([`quantize_slab`]).
 ///
 /// Returns the quantized tensor and the scale.
 ///
@@ -197,15 +291,9 @@ pub fn quantize_lightnn(weights: &Tensor, k: usize) -> Tensor {
 ///
 /// Panics if `bits < 2`.
 pub fn quantize_fixed_point(weights: &Tensor, bits: u32) -> (Tensor, f32) {
-    assert!(bits >= 2, "fixed point needs at least 2 bits");
-    let qmax = ((1u32 << (bits - 1)) - 1) as f32;
-    let max = weights.abs_max();
-    if max == 0.0 {
-        return (weights.clone(), 1.0);
-    }
-    let scale = max / qmax;
-    let q = weights.map(|x| (x / scale).round().clamp(-qmax, qmax) * scale);
-    (q, scale)
+    let mut q = Vec::with_capacity(weights.len());
+    let scale = quantize_slab(weights.as_slice(), bits, &mut q, dequantize);
+    (Tensor::from_vec(q, weights.dims()), scale)
 }
 
 fn l2(v: &[f32]) -> f32 {
@@ -326,6 +414,28 @@ mod tests {
         let (q, scale) = quantize_fixed_point(&Tensor::zeros(&[4]), 4);
         assert_eq!(q.sum(), 0.0);
         assert_eq!(scale, 1.0);
+    }
+
+    #[test]
+    fn per_image_quantizer_clears_its_buffers_and_scales_each_image() {
+        let x = Tensor::from_vec(vec![1.0, -0.25, 0.0, 0.0, 4.0, -1.0], &[3, 2]);
+        let mut codes = vec![9; 7]; // stale codes must go
+        let mut scales = vec![0.5];
+        quantize_per_image(&x, 8, &mut codes, &mut scales, |c, _| c);
+        assert_eq!(codes, [127, -32, 0, 0, 127, -32]);
+        assert_eq!(scales, [1.0 / 127.0, 1.0, 4.0 / 127.0]);
+        let (s0, s2) = (scales[0], scales[2]);
+        assert_eq!(
+            dequantize_per_image(&codes, &scales),
+            [127.0 * s0, -32.0 * s0, 0.0, 0.0, 127.0 * s2, -32.0 * s2]
+        );
+    }
+
+    #[test]
+    fn dequantized_zeros_are_positive() {
+        let mut values = Vec::new();
+        quantize_slab(&[-1e-6, 1.0], 8, &mut values, dequantize);
+        assert_eq!(values[0].to_bits(), 0.0f32.to_bits());
     }
 
     #[test]

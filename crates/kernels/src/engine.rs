@@ -44,12 +44,12 @@ use flight_tensor::{Conv2dGeometry, Tensor};
 use flightnn::convert::shift_plan;
 use flightnn::layers::QuantWeights;
 use flightnn::net::{NetLayer, QuantNet};
+use flightnn::quant::{dequantize_per_image, quantize_per_image};
 
 use crate::counts::OpCounts;
 use crate::fixed::FixedWeights;
 use crate::lower::{conv_core, TapOp};
 use crate::observe::{Null, Profile, StageObserver, Trace};
-use crate::qact::QuantActivations;
 use crate::shift::ShiftKernel;
 use crate::simd::{active_path, KernelPath, LaneCtx};
 
@@ -111,7 +111,9 @@ pub(crate) enum IntLayer {
 pub enum CompileError {
     /// A layer the integer pipeline cannot place: a batch norm not
     /// directly after a conv, a LeakyReLU not after a conv or its batch
-    /// norm, or a flatten not directly before a linear layer.
+    /// norm, a flatten not directly before a linear layer, or a leading
+    /// `ActQuant` whose bits differ from those of the quantized conv
+    /// after it.
     UnsupportedLayer(String),
 }
 
@@ -467,14 +469,20 @@ enum Open {
 
 /// Lowers `net` stage by stage, matching on layer types: a batch norm
 /// directly after a conv and a LeakyReLU after either fold into that
-/// conv's epilogue, and a flatten directly before a linear layer is
-/// absorbed by it.
+/// conv's epilogue, a flatten directly before a linear layer is
+/// absorbed by it, and a leading `ActQuant` is absorbed by the quantized
+/// conv after it when both quantize at the same bits.
 fn compile_layers(net: &mut QuantNet) -> Result<Vec<IntLayer>, CompileError> {
     let layers = net.layers_mut();
     let mut out = Vec::new();
     let mut open = Open::Nothing;
     for i in 0..layers.len() {
         let before_linear = matches!(layers.get(i + 1), Some(NetLayer::Linear(_)));
+        let next_quantizes_at = match layers.get(i + 1) {
+            Some(NetLayer::Conv(conv)) => quantized_input_bits(conv.weights()),
+            Some(NetLayer::Linear(lin)) => quantized_input_bits(lin.weights()),
+            _ => None,
+        };
         open = match (&mut layers[i], open) {
             (NetLayer::Conv(conv), _) => {
                 let (stride, padding) = (conv.stride(), conv.padding());
@@ -516,6 +524,14 @@ fn compile_layers(net: &mut QuantNet) -> Result<Vec<IntLayer>, CompileError> {
                 out.push(IntLayer::GlobalAvgPool);
                 Open::Nothing
             }
+            // A leading marker quantizes exactly what the conv after it
+            // quantizes on entry, so it needs no stage of its own.
+            (NetLayer::ActQuant(q), _) if i == 0 && next_quantizes_at.is_some() => {
+                if next_quantizes_at != Some(q.bits()) {
+                    return Err(CompileError::UnsupportedLayer(q.name()));
+                }
+                Open::Nothing
+            }
             (NetLayer::ActQuant(q), _) => {
                 out.push(IntLayer::Requant { bits: q.bits() });
                 Open::Nothing
@@ -540,6 +556,12 @@ fn compile_layers(net: &mut QuantNet) -> Result<Vec<IntLayer>, CompileError> {
         };
     }
     Ok(out)
+}
+
+/// The bit width a conv stage quantizes its input to, or `None` for a
+/// full-precision layer, whose stage runs on float activations.
+fn quantized_input_bits(w: &QuantWeights) -> Option<u32> {
+    (w.fixed_point_bits().is_some() || w.is_shift_based()).then(|| w.act_bits())
 }
 
 /// The conv stage `compile_layers` pushed last, whose epilogue is open.
@@ -667,11 +689,12 @@ impl ConvStage {
         scratch: &mut Scratch,
         obs: &mut O,
     ) -> Tensor {
-        QuantActivations::quantize_per_image_into(
+        quantize_per_image(
             x,
             self.act_bits,
             &mut scratch.codes,
             &mut scratch.scales,
+            |c, _| c,
         );
         obs.quantized(self.kind(), &scratch.codes, self.act_bits);
         let (filters, _, k) = kernel.shape();
@@ -733,24 +756,12 @@ fn run_layer<O: StageObserver>(
         IntLayer::MaxPool { window } => MaxPool2d::new(*window).forward(x, false),
         IntLayer::GlobalAvgPool => flight_nn::layers::GlobalAvgPool::new().forward(x, false),
         IntLayer::Requant { bits } => {
-            QuantActivations::quantize_per_image_into(
-                x,
-                *bits,
-                &mut scratch.codes,
-                &mut scratch.scales,
-            );
+            quantize_per_image(x, *bits, &mut scratch.codes, &mut scratch.scales, |c, _| c);
             obs.quantized("requant", &scratch.codes, *bits);
-            let n = x.dims()[0];
-            let stride = x.len().checked_div(n).unwrap_or(0);
-            let mut data = Vec::with_capacity(x.len());
-            for (b, &s) in scratch.scales.iter().enumerate() {
-                data.extend(
-                    scratch.codes[b * stride..(b + 1) * stride]
-                        .iter()
-                        .map(|&c| c as f32 * s),
-                );
-            }
-            Tensor::from_vec(data, x.dims())
+            Tensor::from_vec(
+                dequantize_per_image(&scratch.codes, &scratch.scales),
+                x.dims(),
+            )
         }
         IntLayer::Residual {
             main,

@@ -15,6 +15,7 @@
 use core::arch::x86_64::*;
 
 use flight_tensor::{Conv2dGeometry, Tensor};
+use flightnn::quant::{dequantize, quantize_slab};
 
 use crate::counts::OpCounts;
 use crate::lower::{check_core_shapes, conv_core, conv_with, LoweredCache, LoweringStats, TapOp};
@@ -41,23 +42,18 @@ impl PartialEq for FixedWeights {
 }
 
 impl FixedWeights {
-    /// Quantizes float weights symmetrically to `bits`.
+    /// Quantizes float weights symmetrically to `bits` with one
+    /// per-tensor scale (`flightnn::quant::quantize_slab`).
     ///
     /// # Panics
     ///
     /// Panics if `bits < 2` or `weights` is not rank 4.
     pub fn quantize(weights: &Tensor, bits: u32) -> Self {
-        assert!(bits >= 2, "fixed point needs at least 2 bits");
         assert_eq!(weights.shape().rank(), 4, "weights must be [f, c, k, k]");
-        let qmax = ((1u32 << (bits - 1)) - 1) as f32;
-        let max = weights.abs_max();
-        let scale = if max == 0.0 { 1.0 } else { max / qmax };
+        let mut codes = Vec::with_capacity(weights.len());
+        let scale = quantize_slab(weights.as_slice(), bits, &mut codes, |c, _| c);
         FixedWeights {
-            codes: weights
-                .as_slice()
-                .iter()
-                .map(|&w| (w / scale).round().clamp(-qmax, qmax) as i32)
-                .collect(),
+            codes,
             scale,
             dims: weights.dims().to_vec(),
             lowered: LoweredCache::default(),
@@ -67,7 +63,10 @@ impl FixedWeights {
     /// The float weights these codes represent.
     pub fn dequantize(&self) -> Tensor {
         Tensor::from_vec(
-            self.codes.iter().map(|&c| c as f32 * self.scale).collect(),
+            self.codes
+                .iter()
+                .map(|&c| dequantize(c, self.scale))
+                .collect(),
             &self.dims,
         )
     }

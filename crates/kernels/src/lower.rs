@@ -416,9 +416,8 @@ pub(crate) fn conv_core<K: TapOp>(
 pub(crate) type Core<K> =
     fn(&[i32], &[f32], &Conv2dGeometry, &K, &mut [f32], &mut OpCounts, &mut LaneCtx);
 
-/// Runs `core` over one tensor of activations sharing a single scale —
-/// the body of the public `shift_add_conv*` / `fixed_point_conv*`
-/// functions.
+/// Runs `core` over one batch of per-image quantized activations — the
+/// body of the public `shift_add_conv*` / `fixed_point_conv*` functions.
 pub(crate) fn conv_with<K: TapOp>(
     act: &QuantActivations,
     kernel: &K,
@@ -433,11 +432,10 @@ pub(crate) fn conv_with<K: TapOp>(
     let (filters, _, k) = kernel.shape();
     let geom = Conv2dGeometry::new(c, h, w, k, stride, padding);
     let mut out = Tensor::zeros(&[n, filters, geom.out_h, geom.out_w]);
-    let scales = vec![act.scale(); n];
     let mut counts = OpCounts::default();
     core(
         act.codes(),
-        &scales,
+        act.scales(),
         &geom,
         kernel,
         out.as_mut_slice(),

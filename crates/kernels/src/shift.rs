@@ -578,15 +578,13 @@ mod tests {
         let kernel = ShiftKernel::compile(&plan, &[3, 2, 3, 3]);
         let x = uniform(&mut rng, &[3, 2, 6, 6], -1.0, 1.0);
 
-        let mut codes = Vec::new();
-        let mut scales = Vec::new();
-        QuantActivations::quantize_per_image_into(&x, 8, &mut codes, &mut scales);
+        let batch = QuantActivations::quantize(&x, 8);
         let geom = Conv2dGeometry::new(2, 6, 6, 3, 1, 1);
         let mut out = vec![0.0f32; 3 * kernel.filters() * geom.out_positions()];
         let mut counts = OpCounts::default();
         conv_core(
-            &codes,
-            &scales,
+            batch.codes(),
+            batch.scales(),
             &geom,
             &kernel,
             &mut out,

@@ -176,7 +176,7 @@ impl Server {
         let (queue_tx, queue_rx) = mpsc::sync_channel(config.queue_depth.max(1));
         let shared = Arc::new(Shared {
             slot,
-            stats: ServeStats::new(config.workers.max(1)),
+            stats: ServeStats::new_at(config.workers.max(1), trace_now_us() as u64),
             exemplars: ExemplarRing::new(config.exemplars),
             profiler: StageProf::new(config.workers.max(1), config.profile_every),
             queue_tx,

@@ -141,6 +141,9 @@ impl Tallies {
 #[derive(Debug)]
 pub struct ServeStats {
     shards: Sharded<Tallies>,
+    /// When recording began, on the window clock (µs): a window younger
+    /// than its span reports QPS over the time it has existed.
+    start_us: u64,
 }
 
 impl Default for ServeStats {
@@ -151,10 +154,18 @@ impl Default for ServeStats {
 
 impl ServeStats {
     /// Fresh stats with `shards` shards (clamped to at least 1) —
-    /// typically one per compute worker.
+    /// typically one per compute worker — whose uptime counts from the
+    /// window clock's origin (`trace_now_us() == 0`). A server started
+    /// later passes its start through [`new_at`](Self::new_at).
     pub fn new(shards: usize) -> ServeStats {
+        ServeStats::new_at(shards, 0)
+    }
+
+    /// [`new`](Self::new) started at `start_us` on the window clock.
+    pub fn new_at(shards: usize, start_us: u64) -> ServeStats {
         ServeStats {
             shards: Sharded::new(shards),
+            start_us,
         }
     }
 
@@ -213,6 +224,8 @@ impl ServeStats {
     /// The stats as a JSON object: lifetime counters, mean batch size,
     /// a `latency_ms` block of per-phase percentiles, and a `windows`
     /// block with per-window QPS, reject/error rates, and percentiles.
+    /// A window's QPS divides its requests by the window's span or the
+    /// uptime, whichever is shorter.
     pub fn snapshot_json(&self) -> JsonValue {
         self.snapshot_json_at(trace_now_us() as u64)
     }
@@ -220,10 +233,16 @@ impl ServeStats {
     /// [`snapshot_json`](Self::snapshot_json) with an explicit clock.
     pub fn snapshot_json_at(&self, now_us: u64) -> JsonValue {
         let lifetime = self.shards.merged();
+        let uptime_s = now_us.saturating_sub(self.start_us) as f64 / 1e6;
         let mut windows = JsonObject::new();
         for (label, buckets) in WINDOWS {
             let w = self.shards.merged_window_at(now_us, buckets);
-            let secs = buckets as f64;
+            let secs = (buckets as f64).min(uptime_s);
+            let qps = if secs > 0.0 {
+                w.requests as f64 / secs
+            } else {
+                0.0
+            };
             let attempts = w.attempts();
             let rate = |n: u64| {
                 if attempts == 0 {
@@ -235,7 +254,7 @@ impl ServeStats {
             windows = windows.field(
                 label,
                 JsonObject::new()
-                    .field("qps", w.requests as f64 / secs)
+                    .field("qps", qps)
                     .field("requests", w.requests)
                     .field("rejected", w.rejected)
                     .field("errors", w.errors)
@@ -374,5 +393,34 @@ mod tests {
             .unwrap();
         assert_eq!(qps60, 0.0, "windows must expire; lifetime must not");
         assert_eq!(later.get("requests").and_then(JsonValue::as_f64), Some(4.0));
+    }
+
+    #[test]
+    fn young_windows_divide_by_uptime() {
+        let s = 1_000_000u64;
+        let start = 100 * s;
+        let stats = ServeStats::new_at(2, start);
+        // 25 requests over the first 2.5 s of uptime, 10 of them in the
+        // last second.
+        for i in 0..25u64 {
+            stats.record_request_at((i % 2) as usize, &sample(1), start + i * s / 10);
+        }
+        let qps = |now: u64, label: &str| {
+            stats
+                .snapshot_json_at(now)
+                .get("windows")
+                .and_then(|w| w.get(label))
+                .and_then(|w| w.get("qps"))
+                .and_then(JsonValue::as_f64)
+                .unwrap()
+        };
+        let now = start + 5 * s / 2;
+        assert_eq!(qps(now, "1s"), 5.0, "a full 1s window: epoch 102 holds 5");
+        assert_eq!(qps(now, "10s"), 10.0, "25 requests over 2.5 s, not 10 s");
+        assert_eq!(qps(now, "60s"), 10.0, "25 requests over 2.5 s, not 60 s");
+        // Before any time has passed there is no rate to report.
+        assert_eq!(qps(start, "10s"), 0.0);
+        // Once the server outlives a window, the window's span divides.
+        assert_eq!(qps(start + 20 * s, "60s"), 25.0 / 20.0);
     }
 }

@@ -2,8 +2,9 @@
 //! parameters, reload them into a fresh network, compile the network to
 //! the multiplier-free integer pipeline (with batch norms folded), and
 //! verify that the reloaded network's float logits equal the trained
-//! network's bit for bit, and that integer accuracy matches the float
-//! path while executing zero multiplies.
+//! network's bit for bit, and that the integer pipeline predicts the
+//! float network's top-1 class for every test image while executing zero
+//! multiplies.
 //!
 //! Run with:
 //!
@@ -46,10 +47,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = IntNetwork::compile_with(&mut deployed, CompileOptions::new())?;
     println!("compiled integer pipeline: {} stages", engine.stages());
 
-    // 4. Compare float vs integer accuracy, and count operations.
+    // 4. Compare float vs integer predictions image by image, and count
+    //    operations. Both paths quantize every image on its own scales
+    //    through the same function, so they must agree.
     let mut float_correct = 0.0;
     let mut int_correct = 0.0;
     let mut samples = 0usize;
+    let mut agree = 0usize;
+    let mut max_gap = 0.0f32;
     let mut total_counts = flight_kernels::OpCounts::default();
     for batch in data.test_batches(16) {
         let fl = deployed.forward(&batch.input, false);
@@ -62,6 +67,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (il, counts) = engine.forward(&batch.input);
         float_correct += top_k_accuracy(&fl, &batch.labels, 1) * batch.len() as f32;
         int_correct += top_k_accuracy(&il, &batch.labels, 1) * batch.len() as f32;
+        agree += (0..batch.len())
+            .filter(|&i| top1(fl.outer(i)) == top1(il.outer(i)))
+            .count();
+        max_gap = fl
+            .as_slice()
+            .iter()
+            .zip(il.as_slice())
+            .fold(max_gap, |m, (&a, &b)| m.max((a - b).abs()));
         total_counts += counts;
         samples += batch.len();
     }
@@ -73,6 +86,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "integer path: {:.2}% top-1",
         100.0 * int_correct / samples as f32
     );
+    println!("top-1 agreement: {agree}/{samples} images, largest logit gap {max_gap:e}");
+    assert_eq!(
+        agree, samples,
+        "the integer pipeline must predict what the float network predicts"
+    );
+    assert_eq!(float_correct, int_correct);
     println!("integer ops over the test set: {total_counts}");
     assert_eq!(
         total_counts.int_mults, 0,
@@ -80,4 +99,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("zero integer multiplies — the multiplier is gone.");
     Ok(())
+}
+
+/// The index of a row's largest logit (the first of equal maxima).
+fn top1(row: &[f32]) -> usize {
+    (0..row.len()).fold(0, |best, j| if row[j] > row[best] { j } else { best })
 }
